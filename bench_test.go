@@ -103,6 +103,10 @@ func BenchmarkR2DurableResume(b *testing.B) { benchExperiment(b, "R2") }
 // communication skew through the trace spans).
 func BenchmarkO1CommunicationSkew(b *testing.B) { benchExperiment(b, "O1") }
 
+// detChunkBits is the chunk width shared by BenchmarkDetRuling2 and its
+// traced and faulted variants, so each pair differs only in what it names.
+const detChunkBits = 8
+
 // BenchmarkTracedDetRuling2 measures the cost of running DetRuling2 with a
 // JSONL tracer streaming to io.Discard, versus BenchmarkDetRuling2's
 // untraced baseline.
@@ -111,7 +115,7 @@ func BenchmarkTracedDetRuling2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := mprs.NewJSONLTrace(io.Discard)
-		res, err := mprs.DetRulingSet2(g, mprs.Options{Tracer: tr})
+		res, err := mprs.DetRulingSet2(g, mprs.Options{ChunkBits: detChunkBits, Tracer: tr})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +141,7 @@ func BenchmarkFaultedDetRuling2(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := mprs.DetRulingSet2(g, mprs.Options{Faults: plan, CheckpointEvery: 8})
+		res, err := mprs.DetRulingSet2(g, mprs.Options{ChunkBits: detChunkBits, Faults: plan, CheckpointEvery: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,9 +195,10 @@ func BenchmarkRandRuling2(b *testing.B) {
 
 func BenchmarkDetRuling2(b *testing.B) {
 	g := benchGraph(b, 4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mprs.DetRulingSet2(g, mprs.Options{ChunkBits: 4}); err != nil {
+		if _, err := mprs.DetRulingSet2(g, mprs.Options{ChunkBits: detChunkBits}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,6 +206,7 @@ func BenchmarkDetRuling2(b *testing.B) {
 
 func BenchmarkDetLubyMIS(b *testing.B) {
 	g := benchGraph(b, 4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mprs.DetMIS(g, mprs.Options{ChunkBits: 4}); err != nil {
@@ -273,6 +279,7 @@ func BenchmarkVerifyRulingSet(b *testing.B) {
 
 func BenchmarkCliqueDetRuling2(b *testing.B) {
 	g := benchGraph(b, 4096)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := rulingset.CliqueDetRuling2(g, rulingset.Options{ChunkBits: 8})
@@ -292,8 +299,10 @@ func BenchmarkCliqueScatterAggregate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.ScatterAggregateFloat("bench", 256, func(v, e int) float64 {
-			return float64(v ^ e)
+		if _, err := c.ScatterAggregateFloat("bench", 256, func(v int, out []float64) {
+			for e := range out {
+				out[e] = float64(v ^ e)
+			}
 		}); err != nil {
 			b.Fatal(err)
 		}

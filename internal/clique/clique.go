@@ -345,6 +345,19 @@ type stepOutbox struct {
 	mu     sync.Mutex
 	sealed bool
 	boxes  [][]Message // indexed by destination node
+	// scratch is per-worker evaluation space for collectives whose closures
+	// run node by node on the worker's goroutine (ScatterAggregateFloat).
+	scratch []float64
+}
+
+// floats returns the worker's scratch resized to n entries and zeroed.
+func (ob *stepOutbox) floats(n int) []float64 {
+	if cap(ob.scratch) < n {
+		ob.scratch = make([]float64, n)
+	}
+	out := ob.scratch[:n]
+	clear(out)
+	return out
 }
 
 // Inbox returns the messages delivered at the end of the previous step,
@@ -873,13 +886,18 @@ func (c *Cluster) ScatterAggregate(name string, nExt int, local func(v, e int) u
 
 // ScatterAggregateFloat is ScatterAggregate for float64 contributions
 // (transported as IEEE-754 bit patterns, summed as floats at aggregators).
-func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v, e int) float64) ([]float64, error) {
+// local fills all nExt contributions of node v at once into out, which
+// arrives zeroed; out is scratch owned by the worker running v and is reused
+// for its next node, so local must not retain it.
+func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int, out []float64)) ([]float64, error) {
 	if nExt > c.n {
 		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
 	}
 	if err := c.Step(name+"/scatter", func(x *Ctx) {
-		for e := 0; e < nExt; e++ {
-			x.Send(e, math.Float64bits(local(x.Node, e)))
+		out := x.ob.floats(nExt)
+		local(x.Node, out)
+		for e, v := range out {
+			x.Send(e, math.Float64bits(v))
 		}
 	}); err != nil {
 		return nil, err

@@ -211,17 +211,35 @@ func TestScatterAggregate(t *testing.T) {
 
 func TestScatterAggregateFloat(t *testing.T) {
 	const n, nExt = 9, 4
-	c := newTestClique(t, n)
-	sums, err := c.ScatterAggregateFloat("sa", nExt, func(v, e int) float64 {
-		return 0.5 * float64(e)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < nExt; e++ {
-		want := 0.5 * float64(e) * float64(n)
-		if sums[e] != want {
-			t.Fatalf("sums[%d] = %v, want %v", e, sums[e], want)
+	for _, par := range []int{1, 3} {
+		c, err := NewCluster(Config{Parallelism: par}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Odd nodes leave out untouched: the worker scratch that served the
+		// previous node must arrive zeroed.
+		sums, err := c.ScatterAggregateFloat("sa", nExt, func(v int, out []float64) {
+			if len(out) != nExt {
+				t.Errorf("node %d: len(out) = %d, want %d", v, len(out), nExt)
+			}
+			if v%2 == 1 {
+				return
+			}
+			for e := range out {
+				out[e] = 0.5 * float64(e)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < nExt; e++ {
+			want := 0.5 * float64(e) * float64((n+1)/2)
+			if sums[e] != want {
+				t.Fatalf("parallelism %d: sums[%d] = %v, want %v", par, e, sums[e], want)
+			}
+		}
+		if st := c.Stats(); st.Rounds != 2 || st.Words != int64(n*nExt+nExt) {
+			t.Fatalf("parallelism %d: rounds %d words %d, want 2 and %d", par, st.Rounds, st.Words, n*nExt+nExt)
 		}
 	}
 }

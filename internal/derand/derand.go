@@ -12,11 +12,22 @@
 // fully fixed seed satisfies Φ(seed) ≤ E[Φ] (for minimization) — a per-phase
 // guarantee that holds with certainty, not merely with high probability.
 //
-// The chunk width z trades rounds for local work and bandwidth: a seed of L
-// bits is fixed in ⌈L/z⌉ gather/broadcast pairs, while each machine
-// evaluates 2^z conditional expectations per chunk. With z = Θ(log n) the
-// whole seed is fixed in O(1) collective steps in the near-linear-memory
-// regime — the observation behind the paper's round bounds.
+// The chunk width z trades rounds for bandwidth: a seed of L bits is fixed in
+// ⌈L/z⌉ gather/broadcast pairs, each carrying 2^z conditional expectations
+// per machine. With z = Θ(log n) the whole seed is fixed in O(1) collective
+// steps in the near-linear-memory regime — the observation behind the
+// paper's round bounds.
+//
+// Local work need not grow like terms·2^z. A LocalEval is batched: it is
+// called once per machine per chunk and fills all 2^z candidate values in
+// one call. The mark estimators (package rulingset) exploit that every term
+// depends on the chunk bits e only through at most two parities ⟨e, m⟩, so
+// one pass buckets each term's Fourier coefficients by mask in an exact
+// int64 fixed-point accumulator and a fast Walsh–Hadamard transform yields
+// all 2^z values: O(terms + z·2^z) per chunk, and the sums are exact. An
+// estimator without such a closed form evaluates candidate by candidate
+// through PerCandidate, which is also the tests' oracle for the batched
+// estimators.
 package derand
 
 import (
@@ -84,11 +95,31 @@ func (cfg Config) withDefaults() (Config, error) {
 }
 
 // LocalEval computes a machine's exact local contribution to the conditional
-// expectation E[Φ | seed state], i.e. the sum of the estimator terms owned by
-// the machine (its vertices/edges), conditioned on the seed's fixed prefix
-// plus the provisional chunk currently written in s. Implementations must
-// only read state belonging to the machine described by x.
-type LocalEval func(x *mpc.Ctx, s *hash.Seed) float64
+// expectation E[Φ | seed state] — the sum of the estimator terms owned by the
+// machine (its vertices/edges) — for every candidate extension of one chunk
+// at once. s is the committed seed, whose fixed prefix ends at start; the
+// chunk covers seed bits [start, start+width). out has length 2^width and
+// arrives zeroed; out[e] receives the contribution with the chunk set to e
+// (bit i of e is seed bit start+i). Width 0 asks for the expectation under
+// the fixed prefix alone, in out[0]. Implementations must not modify s and
+// must only read state belonging to the machine described by x.
+type LocalEval func(x *mpc.Ctx, s *hash.Seed, start, width int, out []float64)
+
+// PerCandidate adapts a single-candidate evaluator — the machine's
+// contribution under the seed state s, whose fixed prefix includes the
+// provisional chunk — to a LocalEval that calls it once per candidate. It
+// costs 2^width evaluations per chunk; estimators with a closed-form batched
+// evaluation should implement LocalEval directly.
+func PerCandidate(eval func(x *mpc.Ctx, s *hash.Seed) float64) LocalEval {
+	return func(x *mpc.Ctx, s *hash.Seed, start, width int, out []float64) {
+		local := s.Clone()
+		local.SetFixed(start + width)
+		for e := range out {
+			local.SetChunk(start, width, uint64(e))
+			out[e] = eval(x, local)
+		}
+	}
+}
 
 // Trace records the conditional-expectation trajectory of one seed
 // selection; the conditional expectations are non-increasing (Minimize) or
@@ -128,13 +159,39 @@ func SelectSeed(c *mpc.Cluster, s *hash.Seed, cfg Config, eval LocalEval) (Trace
 	defer c.Span(caller)
 	var trace Trace
 
+	// Each machine keeps one evaluation buffer for the whole call; only the
+	// gathered payload, which the cluster takes ownership of, is per chunk.
+	scratch := make([][]float64, c.Machines())
+	gather := func(name string, start, width int) ([][]uint64, error) {
+		return c.Gather(name, func(x *mpc.Ctx) []uint64 {
+			nExt := 1 << uint(width)
+			buf := scratch[x.Machine]
+			if cap(buf) < nExt {
+				buf = make([]float64, nExt)
+				scratch[x.Machine] = buf
+			}
+			out := buf[:nExt]
+			clear(out)
+			eval(x, s, start, width, out)
+			words := make([]uint64, nExt)
+			for e, v := range out {
+				words[e] = math.Float64bits(v)
+			}
+			return words
+		})
+	}
+
 	// Initial expectation: one extra collective, kept for the guarantee
 	// check; each machine evaluates the unconditioned expectation locally.
-	init, err := sumEval(c, "derand/init", s, eval)
+	parts, err := gather("derand/init", s.Fixed(), 0)
 	if err != nil {
 		return Trace{}, err
 	}
-	trace.Initial = init
+	for _, part := range parts {
+		for _, w := range part {
+			trace.Initial += math.Float64frombits(w)
+		}
+	}
 
 	for s.Fixed() < s.Total() {
 		start := s.Fixed()
@@ -152,16 +209,7 @@ func SelectSeed(c *mpc.Cluster, s *hash.Seed, cfg Config, eval LocalEval) (Trace
 			cfg.OnChunk(s, start, width)
 		}
 
-		parts, err := c.Gather("derand/eval", func(x *mpc.Ctx) []uint64 {
-			local := s.Clone()
-			local.SetFixed(start + width)
-			out := make([]uint64, nExt)
-			for e := 0; e < nExt; e++ {
-				local.SetChunk(start, width, uint64(e))
-				out[e] = math.Float64bits(eval(x, local))
-			}
-			return out
-		})
+		parts, err := gather("derand/eval", start, width)
 		if err != nil {
 			return trace, err
 		}
@@ -194,24 +242,6 @@ func SelectSeed(c *mpc.Cluster, s *hash.Seed, cfg Config, eval LocalEval) (Trace
 	return trace, nil
 }
 
-// sumEval runs one gather summing eval across machines under the current
-// seed state.
-func sumEval(c *mpc.Cluster, name string, s *hash.Seed, eval LocalEval) (float64, error) {
-	parts, err := c.Gather(name, func(x *mpc.Ctx) []uint64 {
-		return []uint64{math.Float64bits(eval(x, s.Clone()))}
-	})
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, part := range parts {
-		for _, w := range part {
-			sum += math.Float64frombits(w)
-		}
-	}
-	return sum, nil
-}
-
 // better reports whether candidate improves on incumbent under obj, with
 // strict improvement required so ties resolve to the smallest extension.
 func better(obj Objective, candidate, incumbent float64) bool {
@@ -222,8 +252,10 @@ func better(obj Objective, candidate, incumbent float64) bool {
 }
 
 // CheckMonotone verifies the conditional-expectation guarantee on a trace:
-// every value must be at least as good as the initial expectation (up to a
-// floating-point tolerance). It returns the first offending index or -1.
+// every value must be at least as good as the one before it, starting from
+// the initial expectation, up to tol. Estimators whose terms are exact
+// dyadic rationals (the mark estimators' fixed-point sums) satisfy it with
+// tol = 0. It returns the first offending index or -1.
 func CheckMonotone(obj Objective, t Trace, tol float64) int {
 	prev := t.Initial
 	for i, v := range t.Values {

@@ -24,10 +24,10 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eval := func(x *mpc.Ctx, s *hash.Seed) float64 { return 0 }
-	if _, err := SelectSeed(c, fam.NewSeed(), Config{ChunkBits: 99}, eval); err == nil {
+	if _, err := SelectSeed(c, fam.NewSeed(), Config{ChunkBits: 99}, PerCandidate(eval)); err == nil {
 		t.Error("chunk bits 99 accepted")
 	}
-	if _, err := SelectSeed(c, fam.NewSeed(), Config{Objective: Objective(9)}, eval); err == nil {
+	if _, err := SelectSeed(c, fam.NewSeed(), Config{Objective: Objective(9)}, PerCandidate(eval)); err == nil {
 		t.Error("bad objective accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestMaximizeMarks(t *testing.T) {
 				}
 				return sum
 			}
-			trace, err := SelectSeed(c, seed, Config{ChunkBits: chunk, Objective: Maximize}, eval)
+			trace, err := SelectSeed(c, seed, Config{ChunkBits: chunk, Objective: Maximize}, PerCandidate(eval))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestMaximizeMarks(t *testing.T) {
 			if math.Abs(trace.Final()-float64(realized)) > 1e-9 {
 				t.Fatalf("trace final %v != realized %d", trace.Final(), realized)
 			}
-			if idx := CheckMonotone(Maximize, trace, 1e-9); idx != -1 {
+			if idx := CheckMonotone(Maximize, trace, 0); idx != -1 {
 				t.Fatalf("trajectory not monotone at step %d: %+v", idx, trace)
 			}
 		}
@@ -101,7 +101,7 @@ func TestMinimizePairs(t *testing.T) {
 		}
 		return sum
 	}
-	trace, err := SelectSeed(c, seed, Config{ChunkBits: 4, Objective: Minimize}, eval)
+	trace, err := SelectSeed(c, seed, Config{ChunkBits: 4, Objective: Minimize}, PerCandidate(eval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestMinimizePairs(t *testing.T) {
 	if float64(realized) > expect+1e-9 {
 		t.Fatalf("realized %d pairs > expectation %v", realized, expect)
 	}
-	if idx := CheckMonotone(Minimize, trace, 1e-9); idx != -1 {
+	if idx := CheckMonotone(Minimize, trace, 0); idx != -1 {
 		t.Fatalf("trajectory not monotone at step %d", idx)
 	}
 }
@@ -148,7 +148,7 @@ func TestAlignToKeepsChunksInsideSegments(t *testing.T) {
 		}
 		return sum
 	}
-	if _, err := SelectSeed(c, seed, cfg, eval); err != nil {
+	if _, err := SelectSeed(c, seed, cfg, PerCandidate(eval)); err != nil {
 		t.Fatal(err)
 	}
 	if len(boundaries) == 0 {
@@ -183,7 +183,7 @@ func TestSelectSeedDeterministicAcrossMachineCounts(t *testing.T) {
 			}
 			return sum
 		}
-		if _, err := SelectSeed(c, seed, Config{ChunkBits: 5, Objective: Maximize}, eval); err != nil {
+		if _, err := SelectSeed(c, seed, Config{ChunkBits: 5, Objective: Maximize}, PerCandidate(eval)); err != nil {
 			t.Fatal(err)
 		}
 		bitsOut := make([]uint64, seed.Total())
@@ -212,7 +212,7 @@ func TestTraceStepsAndRounds(t *testing.T) {
 	}
 	seed := fam.NewSeed()
 	eval := func(x *mpc.Ctx, s *hash.Seed) float64 { return 0 }
-	trace, err := SelectSeed(c, seed, Config{ChunkBits: 4, Objective: Minimize}, eval)
+	trace, err := SelectSeed(c, seed, Config{ChunkBits: 4, Objective: Minimize}, PerCandidate(eval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +228,14 @@ func TestTraceStepsAndRounds(t *testing.T) {
 
 func TestCheckMonotone(t *testing.T) {
 	good := Trace{Initial: 10, Values: []float64{9, 9, 8.5}}
-	if CheckMonotone(Minimize, good, 1e-12) != -1 {
+	if CheckMonotone(Minimize, good, 0) != -1 {
 		t.Error("good minimizing trace flagged")
 	}
 	bad := Trace{Initial: 10, Values: []float64{9, 11, 8}}
-	if CheckMonotone(Minimize, bad, 1e-12) != 1 {
+	if CheckMonotone(Minimize, bad, 0) != 1 {
 		t.Error("regression at index 1 not flagged")
 	}
-	if CheckMonotone(Maximize, Trace{Initial: 1, Values: []float64{2, 1.5}}, 1e-12) != 1 {
+	if CheckMonotone(Maximize, Trace{Initial: 1, Values: []float64{2, 1.5}}, 0) != 1 {
 		t.Error("maximizing regression not flagged")
 	}
 }

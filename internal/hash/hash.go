@@ -219,6 +219,11 @@ func (f *Family) coeff(v int) uint64 {
 	return uint64(v+1) | 1<<uint(f.k)
 }
 
+// Coeff returns v's coefficient vector a_v over one seed segment: bit i < k
+// is bit i of enc(v) = v+1, bit k is the constant term. Linear bit t at v is
+// the GF(2) inner product of a_v with segment t's seed bits.
+func (f *Family) Coeff(v int) uint64 { return f.coeff(v) }
+
 // bitLaw computes the conditional law of linear bit t applied to coefficient
 // vector a, given the seed's fixed prefix. O(1).
 func (f *Family) bitLaw(s *Seed, t int, a uint64) BitProb {

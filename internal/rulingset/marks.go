@@ -1,8 +1,6 @@
 package rulingset
 
 import (
-	"math"
-
 	"github.com/rulingset/mprs/internal/hash"
 )
 
@@ -16,8 +14,9 @@ import (
 //     (every fixed segment evaluated to 1), summarized per vertex by the
 //     index of its first zero segment;
 //   - at most one segment is partially fixed at any time (chunks are aligned
-//     to segment boundaries), and its conditional law comes from
-//     hash.Family in O(1);
+//     to segment boundaries), and its conditional law under every candidate
+//     extension of the chunk is a function of at most two parities (see
+//     chunkEval, which evaluates all candidates in one pass);
 //   - fully free segments contribute exactly 1/2 per marginal bit and 1/4
 //     per pairwise-joint bit.
 //
@@ -70,118 +69,10 @@ func (ms *markState) sync(s *hash.Seed) {
 	ms.fixedSegs = newFull
 }
 
-// evalCtx binds a markState to one concrete seed state (fixed prefix plus
-// provisional chunk) with the partial segment's SegState extracted once, so
-// the per-pair probabilities in estimator hot loops avoid repeated seed
-// decoding. Create one per estimator evaluation with ms.ctx(s).
-type evalCtx struct {
-	ms         *markState
-	seg        hash.SegState
-	hasPartial bool
-}
-
-// ctx prepares an evaluation context for the seed state s (which may carry a
-// provisional chunk inside the partial segment).
-func (ms *markState) ctx(s *hash.Seed) evalCtx {
-	ec := evalCtx{ms: ms, hasPartial: ms.fixedSegs < ms.fam.NBits()}
-	if ec.hasPartial {
-		ec.seg = ms.fam.SegState(s, ms.fixedSegs)
-	}
-	return ec
-}
-
-// markProb returns P[mark(v)] where mark(v) is the AND of the first j linear
-// bits, conditioned on the context's seed state.
-func (ec evalCtx) markProb(v, j int) float64 {
-	ms := ec.ms
-	full := ms.fixedSegs
-	if full > j {
-		full = j
-	}
-	if int(ms.firstZero[v]) < full {
-		return 0
-	}
-	if ms.fixedSegs >= j {
-		return 1
-	}
-	// Partial segment (index fixedSegs) plus fully free segments.
-	p := ms.fam.P1Seg(ec.seg, v)
-	return p * pow2neg(j-ms.fixedSegs-1)
-}
-
-// pairProb returns P[mark(u) ∧ mark(w)] for distinct u, w with per-vertex
-// exponents ju, jw, conditioned on the context's seed state.
-func (ec evalCtx) pairProb(u, w, ju, jw int) float64 {
-	ms := ec.ms
-	if int(ms.firstZero[u]) < minInt(ms.fixedSegs, ju) ||
-		int(ms.firstZero[w]) < minInt(ms.fixedSegs, jw) {
-		return 0
-	}
-	a, b := ju, jw
-	long := w
-	if a > b {
-		a, b = b, a
-		long = u
-	}
-	p := 1.0
-	ps := ms.fixedSegs // partial segment index, if one exists
-
-	// Joint head: segments [0, a). Fully fixed ones contribute 1 (both alive
-	// there, checked above); the partial one needs the exact pair law; fully
-	// free ones contribute 1/4 each.
-	fullHead := minInt(ms.fixedSegs, a)
-	partialInHead := ec.hasPartial && ps < a
-	freeHead := a - fullHead
-	if partialInHead {
-		freeHead--
-		p = ms.fam.P11Seg(ec.seg, u, w)
-		if p == 0 {
-			return 0
-		}
-	}
-	p *= pow2neg(2 * freeHead)
-
-	// Tail: segments [a, b) involve only the vertex with the larger j.
-	if b > a {
-		fullTail := minInt(ms.fixedSegs, b) - a
-		if fullTail < 0 {
-			fullTail = 0
-		}
-		partialInTail := ec.hasPartial && ps >= a && ps < b
-		freeTail := (b - a) - fullTail
-		if partialInTail {
-			freeTail--
-			p *= ms.fam.P1Seg(ec.seg, long)
-		}
-		p *= pow2neg(freeTail)
-	}
-	return p
-}
-
-// markProb is the convenience form used outside hot loops (and by tests).
-func (ms *markState) markProb(s *hash.Seed, v, j int) float64 {
-	return ms.ctx(s).markProb(v, j)
-}
-
-// pairProb is the convenience form used outside hot loops (and by tests).
-func (ms *markState) pairProb(s *hash.Seed, u, w, ju, jw int) float64 {
-	return ms.ctx(s).pairProb(u, w, ju, jw)
-}
-
-// _pow2neg[i] = 2^-i for the exponent range the families can produce.
-var _pow2neg = func() [130]float64 {
-	var t [130]float64
-	for i := range t {
-		t[i] = math.Ldexp(1, -i)
-	}
-	return t
-}()
-
-func pow2neg(i int) float64 {
-	if i < len(_pow2neg) {
-		return _pow2neg[i]
-	}
-	return math.Ldexp(1, -i)
+// dead reports whether some fully fixed segment among v's first j already
+// evaluated to 0, so every mark term of v vanishes for every candidate.
+func (ms *markState) dead(v, j int) bool {
+	return int(ms.firstZero[v]) < minInt(ms.fixedSegs, j)
 }
 
 // marked reports the realized mark of v under a fully fixed, synced seed.
