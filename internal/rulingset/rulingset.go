@@ -71,7 +71,10 @@ type Options struct {
 	// SeedConditionalExpectations (the paper's method).
 	SeedPolicy SeedPolicy
 	// EstimatorAlpha weighs the candidate-edge cost term of the
-	// sparsification potential Φ = α·cost − benefit; default 2.
+	// sparsification potential Φ = α·cost − benefit; default 2. The seed
+	// search keeps Φ exact, so α must be a dyadic rational whose products
+	// stay within float64's 53 bits (0.5, 2, 3 and 8 do); otherwise the
+	// phase returns *PrecisionError.
 	EstimatorAlpha float64
 	// BenefitCap, when positive, caps the Bonferroni neighborhood N'(v) at
 	// this size instead of the analysis-dictated ⌊1/p⌋.
