@@ -297,6 +297,7 @@ func BenchmarkCliqueScatterAggregate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.ScatterAggregateFloat("bench", 256, func(v int, out []float64) {

@@ -28,6 +28,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,9 +173,17 @@ type Cluster struct {
 	inboxes [][]Message
 
 	// mu guards the sticky late-send error; message sends never touch it
-	// (each worker buffers its block's sends in its own stepOutbox).
+	// (each worker appends its block's sends to its own send log).
 	mu      sync.Mutex
 	lateErr error
+
+	// logs holds one send log per worker, reused across rounds and attempts
+	// (see sendLog); each attempt reaches them only through fresh, sealable
+	// stepOutbox headers.
+	logs []*sendLog
+	// boxStart is reusable delivery scratch: boxStart[dst] is the offset of
+	// dst's box in the round's message array (n+1 entries).
+	boxStart []int
 
 	// fired records crash events already injected, so the re-executed round
 	// does not crash again (a fault fires once per (round, node)).
@@ -196,6 +205,9 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("clique: n %d < 1", n)
 	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("clique: n %d exceeds the %d nodes a send record can address", n, math.MaxInt32)
+	}
 	if cfg.PairWords == 0 {
 		cfg.PairWords = 1
 	}
@@ -206,13 +218,14 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 		return nil, fmt.Errorf("clique: parallelism %d < 0", cfg.Parallelism)
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		n:       n,
-		inboxes: make([][]Message, n),
-		tracer:  cfg.Tracer,
-		sentW:   make([]int, n),
-		recvW:   make([]int, n),
-		sortBuf: make([]int, n),
+		cfg:      cfg,
+		n:        n,
+		inboxes:  make([][]Message, n),
+		tracer:   cfg.Tracer,
+		sentW:    make([]int, n),
+		recvW:    make([]int, n),
+		sortBuf:  make([]int, n),
+		boxStart: make([]int, n+1),
 	}
 	setup := "setup"
 	c.span.Store(&setup)
@@ -336,28 +349,75 @@ type Ctx struct {
 	stack    []byte
 }
 
-// stepOutbox buffers the sends of one worker's contiguous node block during
-// one round attempt — the same per-worker buffering-and-merge discipline as
-// the MPC simulator (see mpc.Cluster and DESIGN.md §8). The mutex serves
-// step closures that spawn their own joined sender goroutines, and the seal
-// at the barrier, which turns late sends into mpc.ErrStaleCtx.
-type stepOutbox struct {
-	mu     sync.Mutex
-	sealed bool
-	boxes  [][]Message // indexed by destination node
+// sendRec is one queued message of n words from node src to node dst. Its
+// payload follows the previous record's in the worker's slab, so the
+// offset is implicit. Node ids fit int32 (NewCluster refuses larger
+// cliques), which halves the record.
+type sendRec struct {
+	dst, src int32
+	n        int
+}
+
+// sendLog is one worker's flat record of a round attempt's sends: every
+// payload back to back in one word slab, plus one record per message in send
+// order. The Cluster owns the logs and reuses them across rounds, so a warm
+// Send allocates nothing; step closures reach a log only through their
+// attempt's stepOutbox header, which the seal cuts off.
+type sendLog struct {
+	words []uint64
+	sends []sendRec
+	// counts holds the log's sends per destination once its worker has
+	// finished its block; the barrier turns the counts into write cursors
+	// (see deliver).
+	counts []int
 	// scratch is per-worker evaluation space for collectives whose closures
 	// run node by node on the worker's goroutine (ScatterAggregateFloat).
 	scratch []float64
 }
 
 // floats returns the worker's scratch resized to n entries and zeroed.
-func (ob *stepOutbox) floats(n int) []float64 {
-	if cap(ob.scratch) < n {
-		ob.scratch = make([]float64, n)
+func (lg *sendLog) floats(n int) []float64 {
+	if cap(lg.scratch) < n {
+		lg.scratch = make([]float64, n)
 	}
-	out := ob.scratch[:n]
+	out := lg.scratch[:n]
 	clear(out)
 	return out
+}
+
+// count tallies the log's sends per destination.
+func (lg *sendLog) count(n int) {
+	if cap(lg.counts) < n {
+		lg.counts = make([]int, n)
+	}
+	lg.counts = lg.counts[:n]
+	clear(lg.counts)
+	for i := range lg.sends {
+		lg.counts[lg.sends[i].dst]++
+	}
+}
+
+// stepOutbox is one worker's per-attempt header over its reused send log —
+// the same per-worker buffering discipline as the MPC simulator (see
+// mpc.Cluster and DESIGN.md §8). The mutex serves step closures that spawn
+// their own joined sender goroutines, and the seal the worker sets once its
+// block has run: a send through a sealed header, from a goroutine that
+// outlived its step, becomes mpc.ErrStaleCtx and never reaches the log,
+// which by then may already hold a later attempt's traffic.
+type stepOutbox struct {
+	mu     sync.Mutex
+	sealed bool
+	log    *sendLog
+}
+
+// finish seals the header, then counts the log's sends per destination. The
+// seal's lock acquisition publishes every send of the block's joined
+// goroutines to the counting worker.
+func (ob *stepOutbox) finish(n int) {
+	ob.mu.Lock()
+	ob.sealed = true
+	ob.mu.Unlock()
+	ob.log.count(n)
 }
 
 // Inbox returns the messages delivered at the end of the previous step,
@@ -369,17 +429,55 @@ func (x *Ctx) Inbox() []Message { return x.inbox }
 // step completed) drops the payload and records mpc.ErrStaleCtx, returned by
 // the cluster's next step.
 func (x *Ctx) Send(dst int, payload ...uint64) {
-	cp := make([]uint64, len(payload))
-	copy(cp, payload)
+	lg := x.open(dst, len(payload))
+	if lg == nil {
+		return
+	}
+	lg.sends = append(lg.sends, sendRec{dst: int32(dst), src: int32(x.Node), n: len(payload)})
+	lg.words = append(lg.words, payload...)
+	x.ob.mu.Unlock()
+}
+
+// sendFloats sends row[e] to node e for every e, as one single-word
+// message per destination (IEEE-754 bits), in one critical section: the row
+// form of Send behind ScatterAggregateFloat's scatter.
+func (x *Ctx) sendFloats(row []float64) {
+	if len(row) == 0 {
+		return
+	}
+	lg := x.open(len(row)-1, len(row))
+	if lg == nil {
+		return
+	}
+	words, sends := len(lg.words), len(lg.sends)
+	lg.words = slices.Grow(lg.words, len(row))[:words+len(row)]
+	lg.sends = slices.Grow(lg.sends, len(row))[:sends+len(row)]
+	ws, rs := lg.words[words:], lg.sends[sends:]
+	for e, f := range row {
+		ws[e] = math.Float64bits(f)
+		rs[e] = sendRec{dst: int32(e), src: int32(x.Node), n: 1}
+	}
+	x.ob.mu.Unlock()
+}
+
+// open locks the context's outbox for a send of words words whose highest
+// destination is dst and returns the log to append to, with the lock held.
+// On a sealed outbox it records the late send and returns nil, unlocked. A
+// destination outside the clique panics (unlocked), which the step surfaces
+// as the node's *mpc.MachineError.
+func (x *Ctx) open(dst, words int) *sendLog {
 	ob := x.ob
 	ob.mu.Lock()
 	if ob.sealed {
 		ob.mu.Unlock()
-		x.c.noteLateSend(x.Node, x.round, len(cp))
-		return
+		x.c.noteLateSend(x.Node, x.round, words)
+		return nil
 	}
-	ob.boxes[dst] = append(ob.boxes[dst], Message{Src: x.Node, Payload: cp})
-	ob.mu.Unlock()
+	if dst < 0 || dst >= x.c.n {
+		ob.mu.Unlock()
+		panic(fmt.Sprintf("clique: node %d sent to node %d outside [0, %d)", x.Node, dst, x.c.n))
+	}
+	return ob.log
 }
 
 // noteLateSend records the sticky stale-context error surfaced by the next
@@ -431,67 +529,22 @@ func (c *Cluster) crashNow(round, v int) bool {
 }
 
 // attempt is the transient state of one round execution attempt: the
-// per-node contexts and the per-worker outbox buffers they fed. The buffers
-// live and die with the attempt, so an aborted attempt can never leak
-// traffic into the next round.
+// per-node contexts and the per-worker send logs they fed, in ascending
+// node-block order. The contexts and their outbox headers live and die with
+// the attempt; the logs are the Cluster's, reset when the next attempt
+// starts.
 type attempt struct {
-	ctxs    []*Ctx
-	outs    []*stepOutbox // one per worker, in ascending node-block order
+	ctxs    []Ctx
+	logs    []*sendLog
 	crashed []int
 	merr    *mpc.MachineError
-}
-
-// seal closes every outbox of a finished (or aborted) attempt so late sends
-// error instead of leaking into the next round.
-func (at *attempt) seal() {
-	for _, ob := range at.outs {
-		ob.mu.Lock()
-		ob.sealed = true
-		ob.mu.Unlock()
-	}
-}
-
-// mergeOutboxes concatenates the per-worker buffers destination by
-// destination, workers in ascending node-block order — the canonical
-// (sender id, send order) sequence at every parallelism level, identical to
-// what the serial path produces. The order is verified (and, for step
-// closures whose joined goroutines interleaved sends across nodes of one
-// block, restored by a stable sort) before the boxes reach the transport,
-// which assumes it.
-func (at *attempt) mergeOutboxes(n int) [][]Message {
-	boxes := make([][]Message, n)
-	for dst := 0; dst < n; dst++ {
-		total := 0
-		for _, ob := range at.outs {
-			total += len(ob.boxes[dst])
-		}
-		if total == 0 {
-			continue
-		}
-		box := make([]Message, 0, total)
-		for _, ob := range at.outs {
-			box = append(box, ob.boxes[dst]...)
-		}
-		for i := 1; i < len(box); i++ {
-			if box[i].Src < box[i-1].Src {
-				sort.SliceStable(box, func(i, j int) bool { return box[i].Src < box[j].Src })
-				break
-			}
-		}
-		boxes[dst] = box
-	}
-	return boxes
 }
 
 // chargeDiscarded charges the aborted attempt's buffered traffic to
 // ReplayedWords (it is re-sent by the re-execution).
 func (at *attempt) chargeDiscarded(c *Cluster) {
-	for _, ob := range at.outs {
-		for _, box := range ob.boxes {
-			for _, msg := range box {
-				c.stats.ReplayedWords += int64(len(msg.Payload))
-			}
-		}
+	for _, lg := range at.logs {
+		c.stats.ReplayedWords += int64(len(lg.words))
 	}
 }
 
@@ -499,11 +552,12 @@ func (at *attempt) chargeDiscarded(c *Cluster) {
 // node via a bounded worker pool (Config.Parallelism workers; 1 runs every
 // node inline on the calling goroutine, in node order), panics recovered per
 // node. Crash decisions (which consume once-only fault events) are taken
-// sequentially before any worker starts.
+// sequentially before any worker starts. Each worker seals its outbox and
+// counts its sends per destination as soon as its block has run.
 func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
-	at := &attempt{ctxs: make([]*Ctx, c.n)}
-	for v := 0; v < c.n; v++ {
-		at.ctxs[v] = &Ctx{Node: v, c: c, round: round, inbox: c.inboxes[v]}
+	at := &attempt{ctxs: make([]Ctx, c.n)}
+	for v := range at.ctxs {
+		at.ctxs[v] = Ctx{Node: v, c: c, round: round, inbox: c.inboxes[v]}
 		if c.crashNow(round, v) {
 			at.ctxs[v].crashed = true
 			at.crashed = append(at.crashed, v)
@@ -523,43 +577,122 @@ func (c *Cluster) runAttempt(round int, f func(x *Ctx)) *attempt {
 	if workers > c.n {
 		workers = c.n
 	}
-	var wg sync.WaitGroup
 	per := (c.n + workers - 1) / workers
-	for w := 0; w*per < c.n; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > c.n {
-			hi = c.n
+	blocks := (c.n + per - 1) / per
+	for len(c.logs) < blocks {
+		c.logs = append(c.logs, &sendLog{})
+	}
+	at.logs = c.logs[:blocks]
+	block := func(ob *stepOutbox, lo, hi int) {
+		// Deferred so the log is sealed and counted even if a closure
+		// ends its goroutine with runtime.Goexit.
+		defer ob.finish(c.n)
+		for v := lo; v < hi; v++ {
+			if !at.ctxs[v].crashed {
+				run(&at.ctxs[v])
+			}
 		}
-		ob := &stepOutbox{boxes: make([][]Message, c.n)}
-		at.outs = append(at.outs, ob)
+	}
+	var wg sync.WaitGroup
+	for w, lg := range at.logs {
+		lo, hi := w*per, min((w+1)*per, c.n)
+		lg.words, lg.sends = lg.words[:0], lg.sends[:0]
+		ob := &stepOutbox{log: lg}
 		for v := lo; v < hi; v++ {
 			at.ctxs[v].ob = ob
 		}
-		block := func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if !at.ctxs[v].crashed {
-					run(at.ctxs[v])
-				}
-			}
-		}
-		if workers == 1 {
-			block(lo, hi)
+		if blocks == 1 {
+			block(ob, lo, hi)
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			block(lo, hi)
-		}(lo, hi)
+			block(ob, lo, hi)
+		}()
 	}
 	wg.Wait()
-	for v := 0; v < c.n; v++ {
+	for v := range at.ctxs {
 		if at.ctxs[v].panicked != nil {
 			at.merr = &mpc.MachineError{Machine: v, Round: round, Panic: at.ctxs[v].panicked, Stack: at.ctxs[v].stack}
 			break
 		}
 	}
 	return at
+}
+
+// deliver lays the attempt's sends out as per-destination boxes in the
+// canonical (src, send order) sequence, identical at every parallelism
+// level. A prefix sum over (destination, worker) turns each worker's
+// per-destination counts into write cursors into one message array for the
+// round, so dst's box holds worker 0's sends to dst, then worker 1's, and so
+// on: ascending node blocks. The workers' slabs are copied into one word
+// arena and their records scattered into the message array in parallel
+// (inline with a single worker). Both arrays are fresh each round, because
+// the next round's closures read these boxes while they send. The order is
+// then verified (and, for step closures whose joined goroutines interleaved
+// sends across nodes of one block, restored by a stable sort) before the
+// boxes reach the transport, which assumes it.
+func (c *Cluster) deliver(logs []*sendLog) [][]Message {
+	start := c.boxStart
+	total := 0
+	for dst := 0; dst < c.n; dst++ {
+		start[dst] = total
+		for _, lg := range logs {
+			k := lg.counts[dst]
+			lg.counts[dst] = total
+			total += k
+		}
+	}
+	start[c.n] = total
+	words := 0
+	for _, lg := range logs {
+		words += len(lg.words)
+	}
+	msgs := make([]Message, total)
+	arena := make([]uint64, words)
+	scatter := func(lg *sendLog, slab []uint64) {
+		copy(slab, lg.words)
+		cursor := lg.counts
+		off := 0
+		for _, s := range lg.sends {
+			end := off + s.n
+			msgs[cursor[s.dst]] = Message{Src: int(s.src), Payload: slab[off:end:end]}
+			cursor[s.dst]++
+			off = end
+		}
+	}
+	if len(logs) == 1 {
+		scatter(logs[0], arena)
+	} else {
+		var wg sync.WaitGroup
+		for _, lg := range logs {
+			slab := arena[:len(lg.words)]
+			arena = arena[len(lg.words):]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scatter(lg, slab)
+			}()
+		}
+		wg.Wait()
+	}
+	boxes := make([][]Message, c.n)
+	for dst := 0; dst < c.n; dst++ {
+		lo, hi := start[dst], start[dst+1]
+		if lo == hi {
+			continue
+		}
+		box := msgs[lo:hi:hi]
+		for i := 1; i < len(box); i++ {
+			if box[i].Src < box[i-1].Src {
+				sort.SliceStable(box, func(i, j int) bool { return box[i].Src < box[j].Src })
+				break
+			}
+		}
+		boxes[dst] = box
+	}
+	return boxes
 }
 
 func (c *Cluster) step(name string, f func(x *Ctx), routed bool) error {
@@ -584,7 +717,6 @@ func (c *Cluster) step(name string, f func(x *Ctx), routed bool) error {
 	var at *attempt
 	for {
 		at = c.runAttempt(round, f)
-		at.seal()
 		if at.merr != nil {
 			return at.merr
 		}
@@ -594,8 +726,9 @@ func (c *Cluster) step(name string, f func(x *Ctx), routed bool) error {
 		// Crashed nodes restart from the barrier-committed state of the
 		// previous round and the round re-executes (node computation is
 		// deterministic, so the re-execution reproduces the fault-free
-		// messages exactly). The aborted attempt's buffers die with it;
-		// their word count is charged as replay.
+		// messages exactly). The aborted attempt's sends are discarded
+		// (the retry resets the logs); their word count is charged as
+		// replay.
 		c.stats.RecoveredCrashes += len(at.crashed)
 		c.stats.RecoveryRounds++
 		at.chargeDiscarded(c)
@@ -608,12 +741,12 @@ func (c *Cluster) step(name string, f func(x *Ctx), routed bool) error {
 		}
 	}
 
-	// Canonicalize the exchange: merge the per-worker buffers in fixed node
-	// order (see mergeOutboxes) and, when a transport is configured, hand
-	// all boxes to it before any accounting — exactly the MPC simulator's
+	// Canonicalize the exchange: deliver the per-worker logs in fixed node
+	// order (see deliver) and, when a transport is configured, hand all
+	// boxes to it before any accounting — exactly the MPC simulator's
 	// contract, so one transport implementation serves both models. A failed
 	// exchange aborts before the round commits.
-	boxes := at.mergeOutboxes(c.n)
+	boxes := c.deliver(at.logs)
 	if c.cfg.Transport != nil {
 		exchanged, err := c.cfg.Transport.Exchange(round, boxes)
 		if err != nil {
@@ -837,55 +970,17 @@ func (c *Cluster) BroadcastWord(name string, word uint64) error {
 	return nil
 }
 
-// ScatterAggregate is the congested clique's O(1)-round vector reduction:
-// every node holds nExt values (nExt <= n); coordinate e is summed at
-// aggregator node e — every contribution rides a distinct pair link as a
-// single word — and the aggregated vector is collected at node 0, each
-// aggregator's sum again one word on its own link. Two rounds total,
-// independent of nExt.
+// ScatterAggregateFloat is the congested clique's O(1)-round vector
+// reduction: every node holds nExt float64 values (nExt <= n); coordinate e
+// is summed at aggregator node e — every contribution rides a distinct pair
+// link as a single word (its IEEE-754 bit pattern) — and the aggregated
+// vector is collected at node 0, each aggregator's sum again one word on its
+// own link. Two rounds total, independent of nExt.
 //
 // This primitive is what makes a conditional-expectation chunk O(1) rounds
 // in the clique for any chunk width up to log₂ n — the collective the MPC
 // simulator must pay ⌈·⌉ gathers for.
-func (c *Cluster) ScatterAggregate(name string, nExt int, local func(v, e int) uint64) ([]uint64, error) {
-	if nExt > c.n {
-		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
-	}
-	if err := c.Step(name+"/scatter", func(x *Ctx) {
-		for e := 0; e < nExt; e++ {
-			x.Send(e, local(x.Node, e))
-		}
-	}); err != nil {
-		return nil, err
-	}
-	// Aggregators sum their coordinate locally, then forward to node 0; the
-	// sender id identifies the coordinate.
-	partial := make([]uint64, nExt)
-	for agg := 0; agg < nExt; agg++ {
-		for _, msg := range c.Drain(agg) {
-			for _, w := range msg.Payload {
-				partial[agg] += w
-			}
-		}
-	}
-	if err := c.Step(name+"/collect", func(x *Ctx) {
-		if x.Node < nExt {
-			x.Send(0, partial[x.Node])
-		}
-	}); err != nil {
-		return nil, err
-	}
-	sums := make([]uint64, nExt)
-	for _, msg := range c.Drain(0) {
-		if msg.Src < nExt && len(msg.Payload) == 1 {
-			sums[msg.Src] = msg.Payload[0]
-		}
-	}
-	return sums, nil
-}
-
-// ScatterAggregateFloat is ScatterAggregate for float64 contributions
-// (transported as IEEE-754 bit patterns, summed as floats at aggregators).
+//
 // local fills all nExt contributions of node v at once into out, which
 // arrives zeroed; out is scratch owned by the worker running v and is reused
 // for its next node, so local must not retain it.
@@ -894,11 +989,9 @@ func (c *Cluster) ScatterAggregateFloat(name string, nExt int, local func(v int,
 		return nil, fmt.Errorf("clique: %d extensions exceed scatter capacity n=%d", nExt, c.n)
 	}
 	if err := c.Step(name+"/scatter", func(x *Ctx) {
-		out := x.ob.floats(nExt)
+		out := x.ob.log.floats(nExt)
 		local(x.Node, out)
-		for e, v := range out {
-			x.Send(e, math.Float64bits(v))
-		}
+		x.sendFloats(out)
 	}); err != nil {
 		return nil, err
 	}

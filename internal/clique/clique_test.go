@@ -2,6 +2,7 @@ package clique
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -20,6 +21,9 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(Config{PairWords: -1}, 4); err == nil {
 		t.Error("negative bandwidth accepted")
+	}
+	if _, err := NewCluster(Config{}, math.MaxInt32+1); err == nil {
+		t.Error("clique wider than int32 node ids accepted")
 	}
 	c, err := NewCluster(Config{}, 4)
 	if err != nil {
@@ -181,34 +185,6 @@ func TestBroadcastWord(t *testing.T) {
 	}
 }
 
-func TestScatterAggregate(t *testing.T) {
-	const n, nExt = 12, 8
-	c := newTestClique(t, n)
-	sums, err := c.ScatterAggregate("sa", nExt, func(v, e int) uint64 {
-		return uint64(v * e)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Σ_v v·e = e·n(n-1)/2.
-	for e := 0; e < nExt; e++ {
-		want := uint64(e * n * (n - 1) / 2)
-		if sums[e] != want {
-			t.Fatalf("sums[%d] = %d, want %d", e, sums[e], want)
-		}
-	}
-	st := c.Stats()
-	if st.Rounds != 2 {
-		t.Fatalf("scatter-aggregate cost %d rounds, want 2 (O(1) regardless of width)", st.Rounds)
-	}
-	if len(st.Violations) != 0 {
-		t.Fatalf("violations: %v", st.Violations)
-	}
-	if _, err := c.ScatterAggregate("too-wide", n+1, func(v, e int) uint64 { return 0 }); err == nil {
-		t.Fatal("over-capacity scatter accepted")
-	}
-}
-
 func TestScatterAggregateFloat(t *testing.T) {
 	const n, nExt = 9, 4
 	for _, par := range []int{1, 3} {
@@ -238,8 +214,13 @@ func TestScatterAggregateFloat(t *testing.T) {
 				t.Fatalf("parallelism %d: sums[%d] = %v, want %v", par, e, sums[e], want)
 			}
 		}
-		if st := c.Stats(); st.Rounds != 2 || st.Words != int64(n*nExt+nExt) {
-			t.Fatalf("parallelism %d: rounds %d words %d, want 2 and %d", par, st.Rounds, st.Words, n*nExt+nExt)
+		// Two rounds regardless of width, every word on its own pair link.
+		if st := c.Stats(); st.Rounds != 2 || st.Words != int64(n*nExt+nExt) || len(st.Violations) != 0 {
+			t.Fatalf("parallelism %d: rounds %d words %d violations %v, want 2, %d and none",
+				par, st.Rounds, st.Words, st.Violations, n*nExt+nExt)
+		}
+		if _, err := c.ScatterAggregateFloat("too-wide", n+1, func(int, []float64) {}); err == nil {
+			t.Fatalf("parallelism %d: over-capacity scatter accepted", par)
 		}
 	}
 }
