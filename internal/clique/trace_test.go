@@ -74,36 +74,36 @@ func TestCliqueTraceEventsMatchStats(t *testing.T) {
 	}
 }
 
-func TestCliqueTraceRoutedAndCharged(t *testing.T) {
+func TestCliqueTraceRouted(t *testing.T) {
 	c, ring := newTracedClique(t, Config{PairWords: 1}, 4)
 	c.Span("gather")
 	if err := c.RouteStep("route", func(x *Ctx) { x.Send((x.Node+1)%4, 7) }); err != nil {
 		t.Fatal(err)
 	}
 	c.Span("finish")
-	c.ChargeRounds(2)
+	if err := c.Step("local", func(x *Ctx) {}); err != nil {
+		t.Fatal(err)
+	}
 	st := c.Stats()
-	if st.Rounds != LenzenRounds+2 {
-		t.Fatalf("rounds %d, want %d", st.Rounds, LenzenRounds+2)
+	if st.Rounds != LenzenRounds+1 {
+		t.Fatalf("rounds %d, want %d", st.Rounds, LenzenRounds+1)
 	}
 	evs := ring.Events()
-	if len(evs) != 3 {
-		t.Fatalf("%d events, want 3 (1 routed + 2 charged)", len(evs))
+	if len(evs) != 2 {
+		t.Fatalf("%d events, want 2 (1 routed + 1 plain)", len(evs))
 	}
-	if evs[0].Step != "route" || evs[0].Round != LenzenRounds {
+	if evs[0].Step != "route" || evs[0].Round != LenzenRounds || evs[0].Words != 4 {
 		t.Fatalf("routed event %+v", evs[0])
 	}
-	for i, ev := range evs[1:] {
-		if !ev.Charged || ev.Span != "finish" || ev.Sent != nil || ev.Words != 0 {
-			t.Fatalf("charged event %d = %+v", i, ev)
-		}
+	if ev := evs[1]; ev.Round != LenzenRounds+1 || ev.Span != "finish" || ev.Words != 0 {
+		t.Fatalf("plain event %+v", ev)
 	}
 	// Span accounting: the routed exchange bills LenzenRounds to "gather",
-	// the charged rounds bill to "finish" with no traffic.
+	// the silent round one round to "finish" with no traffic.
 	if len(st.Spans) != 2 || st.Spans[0].Span != "gather" || st.Spans[0].Rounds != LenzenRounds {
 		t.Fatalf("spans %+v", st.Spans)
 	}
-	if st.Spans[1].Span != "finish" || st.Spans[1].Rounds != 2 || st.Spans[1].Words != 0 {
+	if st.Spans[1].Span != "finish" || st.Spans[1].Rounds != 1 || st.Spans[1].Words != 0 {
 		t.Fatalf("spans %+v", st.Spans)
 	}
 }
@@ -138,22 +138,23 @@ func TestCliqueTraceRecoveryDeltas(t *testing.T) {
 // contract on the clique simulator's commit path: the skew/span accounting
 // added by the observability layer must not allocate.
 func TestCliqueStepNoAllocWithoutTracer(t *testing.T) {
-	c, err := NewCluster(Config{PairWords: 4}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := func() {
-		if err := c.Step("bench", func(x *Ctx) { x.Send((x.Node+1)%4, 1, 2) }); err != nil {
+	allocs := func(tr trace.Tracer) float64 {
+		c, err := NewCluster(Config{PairWords: 4, Tracer: tr}, 4)
+		if err != nil {
 			t.Fatal(err)
 		}
+		step := func() {
+			if err := c.Step("bench", func(x *Ctx) { x.Send((x.Node+1)%4, 1, 2) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			step() // warm up log/inbox slices
+		}
+		return testing.AllocsPerRun(32, step)
 	}
-	for i := 0; i < 64; i++ {
-		step() // warm up log/inbox slices
-	}
-	base := testing.AllocsPerRun(32, step)
-	ring := trace.NewRing(8)
-	c.SetTracer(ring)
-	withTracer := testing.AllocsPerRun(32, step)
+	base := allocs(nil)
+	withTracer := allocs(trace.NewRing(8))
 	if delta := withTracer - base; delta > 3 {
 		t.Fatalf("tracer adds %.1f allocations per step (disabled %.1f, enabled %.1f)",
 			delta, base, withTracer)

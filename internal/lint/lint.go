@@ -163,6 +163,7 @@ func Analyzers() []*Analyzer {
 // machinery and the substrate they share. This list is the contract future
 // PRs must satisfy (see README “Static analysis”).
 var criticalPkgs = map[string]bool{
+	"internal/superstep": true,
 	"internal/mpc":       true,
 	"internal/clique":    true,
 	"internal/rulingset": true,

@@ -185,27 +185,31 @@ func (c *Cluster) applyResume(r *ResumeState) error {
 	return nil
 }
 
-// recoverCrashes restarts the machines that crashed during an aborted
-// attempt of the given round: their state is restored through the
-// Snapshot/Restore hooks (see Checkpointer), the replay distance back to the
-// last checkpoint is charged to RecoveryRounds, and the restored state plus
-// the aborted attempt's discarded traffic are charged to ReplayedWords. The
-// attempt's buffered outboxes die with the attempt; only their word count
-// survives, as the replay charge.
-func (c *Cluster) recoverCrashes(round int, at *attempt) {
-	c.stats.RecoveredCrashes += len(at.crashed)
-	replay := 1
-	if c.ckpt != nil && c.cfg.CheckpointEvery > 0 {
-		if d := round - c.ckptRound; d > replay {
-			replay = d
-		}
-		for _, m := range at.crashed {
+// settle runs after every step attempt. It flushes the resident violations
+// buffered during the attempt into stats.Violations in machine order — on
+// commit, abort and crash recovery alike, so every attempt's observations
+// are recorded exactly as the serial path would. After crashes it restarts
+// the crashed machines, restoring their state through the Snapshot/Restore
+// hooks (see Checkpointer), and returns the replay distance back to the
+// last checkpoint, charged to RecoveryRounds, and the restored state words,
+// charged to ReplayedWords with the aborted attempt's discarded traffic.
+func (c *Cluster) settle(round int, crashed []int) (int, int64) {
+	c.mu.Lock()
+	pending := c.pendingViol
+	c.pendingViol = nil
+	c.mu.Unlock()
+	for _, vs := range pending {
+		c.stats.Violations = append(c.stats.Violations, vs...)
+	}
+	replay, words := 1, int64(0)
+	if len(crashed) > 0 && c.ckpt != nil && c.cfg.CheckpointEvery > 0 {
+		replay = max(replay, round-c.ckptRound)
+		for _, m := range crashed {
 			if c.snapshots != nil && c.snapshots[m] != nil {
-				c.stats.ReplayedWords += int64(len(c.snapshots[m]))
+				words += int64(len(c.snapshots[m]))
 			}
 			c.ckpt.Restore(m, c.ckpt.Snapshot(m))
 		}
 	}
-	c.stats.RecoveryRounds += replay
-	at.chargeDiscarded(c)
+	return replay, words
 }

@@ -57,7 +57,7 @@ func TestTargetedStallCharged(t *testing.T) {
 	if st.StallRounds != 1 {
 		t.Fatalf("StallRounds = %d, want 1 (one targeted straggler)", st.StallRounds)
 	}
-	if got := inboxWords(c.inboxes[0]); len(got) != 3 {
+	if got := inboxWords(c.e.Drain(0)); len(got) != 3 {
 		t.Fatalf("delivery under targeted stall = %v", got)
 	}
 }
@@ -72,7 +72,7 @@ func TestTargetedDropRetransmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The reliable transport retransmits the targeted loss: full delivery.
-	if got := inboxWords(c.inboxes[0]); !slices.Equal(got, []uint64{0, 1, 2}) {
+	if got := inboxWords(c.e.Drain(0)); !slices.Equal(got, []uint64{0, 1, 2}) {
 		t.Fatalf("delivery under targeted drop = %v", got)
 	}
 	st := c.Stats()
@@ -110,7 +110,7 @@ func TestCompoundCrashStallSameRound(t *testing.T) {
 				t.Fatalf("machine %d state = %d after recovery, want 5", m, v)
 			}
 		}
-		return inboxWords(c.inboxes[0]), c.Stats()
+		return inboxWords(c.e.Drain(0)), c.Stats()
 	}
 
 	base, baseStats := run(nil)
@@ -158,7 +158,7 @@ func TestCrashDuringCheckpointRound(t *testing.T) {
 				state[m]++
 			}
 		}
-		return slices.Clone(state), inboxWords(c.inboxes[0]), c.Stats()
+		return slices.Clone(state), inboxWords(c.e.Drain(0)), c.Stats()
 	}
 
 	baseState, baseDelivery, baseStats := run(nil)
@@ -206,7 +206,7 @@ func TestCompoundCrashStallDropSameMachine(t *testing.T) {
 				state[m]++
 			}
 		}
-		return inboxWords(c.inboxes[0])
+		return inboxWords(c.e.Drain(0))
 	}
 
 	base := run(nil)

@@ -75,12 +75,11 @@ func (d *DistGraph) NotifyNeighbors(name string, marked, restrict *bitset.Set) (
 		return nil, err
 	}
 	for m := 0; m < d.c.Machines(); m++ {
-		for _, msg := range d.c.inboxes[m] {
+		for _, msg := range d.c.e.Drain(m) {
 			for _, w := range msg.Payload {
 				touched.Add(int(w))
 			}
 		}
-		d.c.inboxes[m] = nil
 	}
 	return touched, nil
 }
@@ -195,7 +194,7 @@ func (d *DistGraph) ExchangeActive(name string, active *bitset.Set, vals []int32
 		stride = 2
 	}
 	for m := 0; m < d.c.Machines(); m++ {
-		for _, msg := range d.c.inboxes[m] {
+		for _, msg := range d.c.e.Drain(m) {
 			for i := 0; i+stride-1 < len(msg.Payload); i += stride {
 				word := msg.Payload[i]
 				v := int32(word >> 32)
@@ -209,7 +208,6 @@ func (d *DistGraph) ExchangeActive(name string, active *bitset.Set, vals []int32
 				}
 			}
 		}
-		d.c.inboxes[m] = nil
 	}
 	return nbrs, nbrVals, nil
 }

@@ -328,24 +328,3 @@ func parseDropEvent(part, rest string) (DropEvent, error) {
 	}
 	return DropEvent{Round: round, Src: src, Dst: dst}, nil
 }
-
-// MachineError is a panic from one machine's step function, recovered at the
-// superstep barrier so a single machine's bug surfaces as a structured error
-// instead of taking down the whole simulated cluster. The failed superstep
-// delivers nothing.
-type MachineError struct {
-	// Machine is the panicking machine (the lowest id when several panic in
-	// the same superstep).
-	Machine int
-	// Round is the 1-based superstep at which the panic occurred.
-	Round int
-	// Panic is the recovered panic value.
-	Panic any
-	// Stack is the panicking goroutine's stack trace.
-	Stack []byte
-}
-
-// Error implements error.
-func (e *MachineError) Error() string {
-	return fmt.Sprintf("mpc: machine %d panicked in round %d: %v", e.Machine, e.Round, e.Panic)
-}

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +56,7 @@ func TestPanicBecomesMachineError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("step after panic: %v", err)
 	}
-	if got := inboxWords(c.inboxes[0]); len(got) != 4 {
+	if got := inboxWords(c.e.Drain(0)); len(got) != 4 {
 		t.Fatalf("delivery after recovery = %v", got)
 	}
 }
@@ -71,7 +72,7 @@ func TestCrashRecoveryIdenticalDelivery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return inboxWords(c.inboxes[0]), c.Stats()
+		return inboxWords(c.e.Drain(0)), c.Stats()
 	}
 
 	base, baseStats := run(nil)
@@ -107,7 +108,7 @@ func TestDropAndDupRecovered(t *testing.T) {
 	if err := c.Step("echo", echoStep); err != nil {
 		t.Fatal(err)
 	}
-	if got := inboxWords(c.inboxes[0]); len(got) != 3 {
+	if got := inboxWords(c.e.Drain(0)); len(got) != 3 {
 		t.Fatalf("reliable transport delivered %v", got)
 	}
 	st := c.Stats()
@@ -212,7 +213,7 @@ func TestStrictAbortDeliversNothing(t *testing.T) {
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("strict violation err = %v, want ErrBudget", err)
 	}
-	if got := c.inboxes[1]; len(got) != 0 {
+	if got := c.e.Drain(1); len(got) != 0 {
 		t.Fatalf("aborted step delivered %v", got)
 	}
 }
@@ -314,5 +315,41 @@ func TestResidentAccountingRace(t *testing.T) {
 	}
 	if c.Resident(0) != 7 {
 		t.Fatalf("resident = %d", c.Resident(0))
+	}
+}
+
+// TestCrashOnceKeyIsExact pins the once-only crash key: two crashes in one
+// round whose machine ids agree in their low 14 bits (1 and 16385) are two
+// distinct events, both injected and both recovered, and the delivery still
+// matches the fault-free run.
+func TestCrashOnceKeyIsExact(t *testing.T) {
+	const M = 16386
+	run := func(plan *FaultPlan) ([]uint64, Stats) {
+		c, err := NewCluster(Config{Machines: M, Faults: plan}, M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3; r++ {
+			if err := c.Step("s", func(x *Ctx) {
+				if x.Machine%4096 == 1 {
+					x.Send(0, uint64(x.Machine))
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return inboxWords(c.e.Drain(0)), c.Stats()
+	}
+	base, _ := run(nil)
+	plan, err := ParseFaultPlan("crash@3:1,crash@3:16385", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st := run(plan)
+	if st.RecoveredCrashes != 2 {
+		t.Fatalf("RecoveredCrashes = %d, want 2", st.RecoveredCrashes)
+	}
+	if !slices.Equal(got, base) || len(base) != 5 {
+		t.Fatalf("delivery under crashes %v, fault-free %v", got, base)
 	}
 }

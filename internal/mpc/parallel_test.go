@@ -7,32 +7,6 @@ import (
 	"testing"
 )
 
-// TestStableSortBySrcTotalOrder pins the tie-breaking contract directly:
-// sorting a destination box with duplicate sender ids orders by ascending
-// src while preserving each sender's send sequence (stability). A non-stable
-// sort would scramble the within-src order and break the canonical delivery
-// order the simulators promise.
-func TestStableSortBySrcTotalOrder(t *testing.T) {
-	// Three senders' messages interleaved out of src order, each sender's
-	// payloads numbered in its own send sequence.
-	box := []Message{
-		{Src: 2, Payload: []uint64{20}},
-		{Src: 0, Payload: []uint64{0}},
-		{Src: 2, Payload: []uint64{21}},
-		{Src: 1, Payload: []uint64{10}},
-		{Src: 0, Payload: []uint64{1}},
-		{Src: 1, Payload: []uint64{11}},
-		{Src: 0, Payload: []uint64{2}},
-	}
-	stableSortBySrc(box)
-	want := []uint64{0, 1, 2, 10, 11, 20, 21}
-	for i, msg := range box {
-		if msg.Payload[0] != want[i] {
-			t.Fatalf("position %d: got payload %d, want %d (box %v)", i, msg.Payload[0], want[i], box)
-		}
-	}
-}
-
 // TestDuplicateSrcFanIn is the end-to-end regression for duplicate-src
 // fan-in: every machine sends several separate messages to one destination
 // in one step, so the destination's box holds runs of equal Src values. The
@@ -86,8 +60,8 @@ func TestDuplicateSrcFanIn(t *testing.T) {
 // hatch: a step closure may spawn its own sender goroutines as long as it
 // joins them before returning. Same-machine concurrent sends interleave
 // nondeterministically (so each goroutine here sends exactly one message),
-// but the per-worker outbox mutex must keep the box intact, and the merge's
-// defensive stableSortBySrc fallback must still produce the canonical
+// but the per-worker outbox mutex must keep the box intact, and the
+// delivery's defensive stable-sort fallback must still produce the canonical
 // src-ascending order. Run under -race this also proves Send is safe to call
 // from closure-spawned goroutines.
 func TestJoinedSenderGoroutinesStaySorted(t *testing.T) {

@@ -83,14 +83,13 @@ func (d *DistGraph) compose(a, b *graph.Graph, maxEdges int) (*graph.Graph, erro
 		return nil, err
 	}
 	for m := 0; m < d.c.Machines(); m++ {
-		for _, msg := range d.c.inboxes[m] {
+		for _, msg := range d.c.e.Drain(m) {
 			for _, w := range msg.Payload {
 				x := int32(w >> 32)
 				u := int32(uint32(w))
 				aNbrs[x] = append(aNbrs[x], u)
 			}
 		}
-		d.c.inboxes[m] = nil
 	}
 	// Round 2: the owner of x emits every composed pair (u, w) with u ~_A x
 	// and w ~_B x to the owner of the smaller endpoint; A and B edges ride
@@ -131,7 +130,7 @@ func (d *DistGraph) compose(a, b *graph.Graph, maxEdges int) (*graph.Graph, erro
 	total := 0
 	for m := 0; m < d.c.Machines(); m++ {
 		seen := make(map[uint64]struct{})
-		for _, msg := range d.c.inboxes[m] {
+		for _, msg := range d.c.e.Drain(m) {
 			for _, w := range msg.Payload {
 				if _, dup := seen[w]; dup {
 					continue
@@ -140,7 +139,6 @@ func (d *DistGraph) compose(a, b *graph.Graph, maxEdges int) (*graph.Graph, erro
 				parts[m] = append(parts[m], graph.Edge{U: int32(w >> 32), V: int32(uint32(w))})
 			}
 		}
-		d.c.inboxes[m] = nil
 		total += len(parts[m])
 		if maxEdges > 0 && total > maxEdges {
 			return nil, fmt.Errorf("mpc: power closure exceeds edge budget %d", maxEdges)

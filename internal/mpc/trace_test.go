@@ -184,29 +184,25 @@ func TestTraceRecoveryDeltas(t *testing.T) {
 // per-event allocations (the only allocations are the delivery slices and
 // the round-log append, which pre-date the observability layer).
 func TestStepNoAllocWithoutTracer(t *testing.T) {
-	c, err := NewCluster(Config{Machines: 4}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	payload := make([]uint64, 8)
-	// Warm up the log/violation slices so append doesn't grow mid-measure.
-	for i := 0; i < 64; i++ {
-		if err := c.Step("warm", func(x *Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
+	allocs := func(tr trace.Tracer) float64 {
+		c, err := NewCluster(Config{Machines: 4, Tracer: tr}, 64)
+		if err != nil {
 			t.Fatal(err)
 		}
+		step := func() {
+			if err := c.Step("bench", func(x *Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm up the log/violation slices so append doesn't grow mid-measure.
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		return testing.AllocsPerRun(32, step)
 	}
-	withoutTracer := testing.AllocsPerRun(32, func() {
-		if err := c.Step("bench", func(x *Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
-			t.Fatal(err)
-		}
-	})
-	ring := trace.NewRing(8)
-	c.SetTracer(ring)
-	withTracer := testing.AllocsPerRun(32, func() {
-		if err := c.Step("bench", func(x *Ctx) { x.SendOwned((x.Machine+1)%4, payload) }); err != nil {
-			t.Fatal(err)
-		}
-	})
+	withoutTracer := allocs(nil)
+	withTracer := allocs(trace.NewRing(8))
 	// The skew/span accounting itself must be allocation-free: enabling the
 	// tracer may only add the event's own slices (3 allocations + the event
 	// copy into the ring).
