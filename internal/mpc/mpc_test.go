@@ -19,6 +19,8 @@ func TestNewClusterConfig(t *testing.T) {
 		{name: "explicit", cfg: Config{Machines: 4, Regime: RegimeExplicit, MemoryWords: 77}, n: 100, wantBudget: 77},
 		{name: "default regime is linear", cfg: Config{Machines: 1}, n: 10, wantBudget: 40},
 		{name: "zero machines", cfg: Config{}, n: 10, wantErr: true},
+		{name: "negative machines", cfg: Config{Machines: -3}, n: 10, wantErr: true},
+		{name: "negative parallelism", cfg: Config{Machines: 2, Parallelism: -1}, n: 10, wantErr: true},
 		{name: "bad epsilon", cfg: Config{Machines: 2, Regime: RegimeSublinear, Epsilon: 1.5}, n: 10, wantErr: true},
 		{name: "bad explicit", cfg: Config{Machines: 2, Regime: RegimeExplicit}, n: 10, wantErr: true},
 		{name: "negative n", cfg: Config{Machines: 2}, n: -1, wantErr: true},
