@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	mprs "github.com/rulingset/mprs"
+	"github.com/rulingset/mprs/internal/bitset"
 	"github.com/rulingset/mprs/internal/clique"
 	"github.com/rulingset/mprs/internal/experiments"
 	"github.com/rulingset/mprs/internal/gen"
@@ -180,6 +181,41 @@ func BenchmarkLubyMIS(b *testing.B) {
 		if _, err := mprs.MIS(g, mprs.Options{Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExchangeActive times one neighbourhood exchange with every vertex
+// active on gnp n=65536 (average degree about 10, 8 machines), as a bare
+// announcement and with one value per vertex: the primitive every MPC
+// algorithm phase is built from.
+func BenchmarkExchangeActive(b *testing.B) {
+	g, err := mprs.BuildGraph("gnp:n=65536,p=0.00016", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	active := bitset.New(g.N())
+	active.Fill()
+	for _, bc := range []struct {
+		name string
+		vals []int32
+	}{{"announce", nil}, {"values", make([]int32, g.N())}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, err := mpc.NewCluster(mpc.Config{Machines: 8}, g.N())
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := mpc.Distribute(c, g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.ExchangeActive("bench", active, bc.vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package mpc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/rulingset/mprs/internal/bitset"
@@ -100,7 +102,7 @@ func TestExchangeActive(t *testing.T) {
 		for _, v := range []int{0, 1, 3} {
 			active.Add(v)
 		}
-		nbrs, _, err := d.ExchangeActive("x", active, nil)
+		nbrs, err := d.ExchangeActive("x", active, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +110,7 @@ func TestExchangeActive(t *testing.T) {
 		wantNbrs := map[int][]int32{0: {1}, 1: {0, 3}, 3: {1}}
 		for _, v := range []int{0, 1, 3} {
 			want := wantNbrs[v]
-			got := nbrs[v]
+			got := nbrs.Of(v)
 			if len(got) != len(want) {
 				t.Fatalf("machines=%d: nbrs[%d] = %v, want %v", machines, v, got, want)
 			}
@@ -119,7 +121,7 @@ func TestExchangeActive(t *testing.T) {
 			}
 		}
 		// Inactive vertices have no view.
-		if len(nbrs[2]) != 0 || len(nbrs[4]) != 0 {
+		if len(nbrs.Of(2)) != 0 || len(nbrs.Of(4)) != 0 {
 			t.Fatalf("machines=%d: inactive vertices got views", machines)
 		}
 	}
@@ -130,19 +132,140 @@ func TestExchangeActiveWithValues(t *testing.T) {
 	active := bitset.New(5)
 	active.Fill()
 	vals := []int32{10, 11, 12, 13, 14}
-	nbrs, nbrVals, err := d.ExchangeActive("x", active, vals)
+	nbrs, err := d.ExchangeActive("x", active, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 5; v++ {
-		if len(nbrs[v]) != len(nbrVals[v]) {
+		nbrVals := nbrs.ValsOf(v)
+		if len(nbrs.Of(v)) != len(nbrVals) {
 			t.Fatalf("misaligned values at %d", v)
 		}
-		for i, u := range nbrs[v] {
-			if nbrVals[v][i] != vals[u] {
-				t.Fatalf("value for neighbor %d of %d = %d, want %d", u, v, nbrVals[v][i], vals[u])
+		for i, u := range nbrs.Of(v) {
+			if nbrVals[i] != vals[u] {
+				t.Fatalf("value for neighbor %d of %d = %d, want %d", u, v, nbrVals[i], vals[u])
 			}
 		}
+	}
+}
+
+// randomDistGraph distributes a G(n, p)-style graph with n vertices over
+// machines machines; vertices with no drawn edge stay isolated.
+func randomDistGraph(t testing.TB, rng *rand.Rand, n, machines int, p float64) *DistGraph {
+	t.Helper()
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
+			}
+		}
+	}
+	g, err := graph.New(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(Config{Machines: machines}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Distribute(c, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestExchangeActiveMatchesReference compares the exchange's CSR result,
+// with and without values, against per-vertex lists built straight from the
+// graph: for every active v, its active neighbours in ascending order and
+// their values; nothing for inactive v. It also pins the traffic: one or two
+// words per (active vertex, neighbour) pair.
+func TestExchangeActiveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		n := rng.Intn(40)
+		machines := 1 + trial%9
+		d := randomDistGraph(t, rng, n, machines, rng.Float64()*0.3)
+		g := d.Graph()
+		active := bitset.New(n)
+		density := rng.Intn(4) // 0: empty active set
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) < density {
+				active.Add(v)
+			}
+		}
+		vals := make([]int32, n)
+		for v := range vals {
+			vals[v] = rng.Int31() - rng.Int31()
+		}
+		for _, withVals := range []bool{false, true} {
+			var in []int32
+			stride := int64(1)
+			if withVals {
+				in, stride = vals, 2
+			}
+			before := d.Cluster().Stats().Words
+			adj, err := d.ExchangeActive("x", active, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantWords int64
+			for v := 0; v < n; v++ {
+				var want, wantVals []int32
+				if active.Contains(v) {
+					wantWords += stride * int64(g.Degree(v))
+					for _, u := range g.Neighbors(v) {
+						if active.Contains(int(u)) {
+							want = append(want, u)
+							wantVals = append(wantVals, vals[u])
+						}
+					}
+				}
+				if !slices.Equal(adj.Of(v), want) {
+					t.Fatalf("trial %d (n=%d, machines=%d, vals=%v): Of(%d) = %v, want %v", trial, n, machines, withVals, v, adj.Of(v), want)
+				}
+				switch {
+				case !withVals && adj.ValsOf(v) != nil:
+					t.Fatalf("trial %d: ValsOf(%d) = %v without values", trial, v, adj.ValsOf(v))
+				case withVals && !slices.Equal(adj.ValsOf(v), wantVals):
+					t.Fatalf("trial %d: ValsOf(%d) = %v, want %v", trial, v, adj.ValsOf(v), wantVals)
+				}
+			}
+			if got := d.Cluster().Stats().Words - before; got != wantWords {
+				t.Fatalf("trial %d: exchange sent %d words, want %d", trial, got, wantWords)
+			}
+		}
+	}
+}
+
+// TestExchangeActiveAllocsIndependentOfEdges: the exchange allocates a fixed
+// number of objects per machine (a count array and one send slab) and a
+// fixed number for its CSR result, however many edges it carries. Growing
+// per-destination buckets or per-vertex lists with append would make the
+// count climb with the edge count.
+func TestExchangeActiveAllocsIndependentOfEdges(t *testing.T) {
+	const n, machines = 2048, 4
+	for _, withVals := range []bool{false, true} {
+		allocs := func(p float64) float64 {
+			d := randomDistGraph(t, rand.New(rand.NewSource(1)), n, machines, p)
+			active := bitset.New(n)
+			active.Fill()
+			var vals []int32
+			if withVals {
+				vals = make([]int32, n)
+			}
+			return testing.AllocsPerRun(10, func() {
+				if _, err := d.ExchangeActive("x", active, vals); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		sparse, dense := allocs(0.0005), allocs(0.02)
+		if sparse != dense {
+			t.Errorf("values=%v: exchange allocates %v objects on ~1k edges, %v on ~42k", withVals, sparse, dense)
+		}
+		t.Logf("values=%v: %v allocations per exchange", withVals, sparse)
 	}
 }
 

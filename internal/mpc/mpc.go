@@ -254,6 +254,7 @@ type TransportError = superstep.TransportError[Stats]
 type Cluster struct {
 	cfg    Config
 	n      int
+	per    int // block width of the partition: ⌈n/M⌉
 	budget int
 	e      *superstep.Engine[Ctx, Stats]
 	// stats holds the model's own statistics (resident peaks, violations,
@@ -347,6 +348,7 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.per = (n + cfg.Machines - 1) / cfg.Machines
 	c.resident = make([]int, cfg.Machines)
 	return c, nil
 }
@@ -383,14 +385,12 @@ func (c *Cluster) Owner(v int) int {
 	if c.n == 0 {
 		return 0
 	}
-	per := (c.n + c.cfg.Machines - 1) / c.cfg.Machines
-	return min(v/per, c.cfg.Machines-1)
+	return min(v/c.per, c.cfg.Machines-1)
 }
 
 // Range returns the half-open item range [lo, hi) owned by machine m.
 func (c *Cluster) Range(m int) (lo, hi int) {
-	per := (c.n + c.cfg.Machines - 1) / c.cfg.Machines
-	return min(m*per, c.n), min(m*per+per, c.n)
+	return min(m*c.per, c.n), min(m*c.per+c.per, c.n)
 }
 
 // SetResident records machine m's current resident memory in words; the

@@ -7,6 +7,7 @@ import (
 
 	"github.com/rulingset/mprs/internal/bitset"
 	"github.com/rulingset/mprs/internal/derand"
+	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/hash"
 	"github.com/rulingset/mprs/internal/mpc"
 )
@@ -437,7 +438,7 @@ func wholeValue(ms *markState, fp *fixedPoint, n int, eval termEval, s *hash.See
 type sparsifyPhi struct {
 	ms      *markState
 	active  *bitset.Set
-	view    [][]int32
+	view    *graph.Adjacency
 	j       int
 	highDeg int // benefit qualification threshold 2^j
 	capSize int // |N'(v)|
@@ -447,7 +448,7 @@ type sparsifyPhi struct {
 
 // newSparsifyPhi builds phase j's potential under the ablation knobs of o
 // (EstimatorAlpha, BenefitCap); callers check p.fp before evaluating it.
-func newSparsifyPhi(ms *markState, o Options, active *bitset.Set, view [][]int32, j int) *sparsifyPhi {
+func newSparsifyPhi(ms *markState, o Options, active *bitset.Set, view *graph.Adjacency, j int) *sparsifyPhi {
 	// highDeg is the qualification threshold ⌊1/p⌋ for the benefit term;
 	// capSize truncates the Bonferroni neighborhood N'(v) (equal to highDeg
 	// in the paper's construction; smaller only under the A2 ablation).
@@ -463,7 +464,7 @@ func newSparsifyPhi(ms *markState, o Options, active *bitset.Set, view [][]int32
 	// Every term has exponents (j, j), or (0, j) for a lone mark.
 	var pairs, qualified uint64
 	active.ForEach(func(v int) bool {
-		nb := view[v]
+		nb := view.Of(v)
 		for _, u := range nb {
 			if int(u) > v {
 				pairs++
@@ -490,7 +491,7 @@ func (p *sparsifyPhi) addTerms(ce *chunkEval, v int, cost, benefit []int64) {
 		return
 	}
 	ms, j := p.ms, p.j
-	nb := p.view[v]
+	nb := p.view.Of(v)
 	if !ms.dead(v, j) {
 		for _, u := range nb {
 			if int(u) > v {
@@ -535,20 +536,21 @@ func (p *sparsifyPhi) eval(ce *chunkEval, lo, hi int, bk *buckets, out []float64
 //
 //	Ψ = Σ_{active v} deg_A(v)·( P[mark v] − Σ_{u ∈ N_A(v)} P[mark u ∧ mark v] )
 //
-// with per-vertex exponents lubyJ(deg) (see DetLubyMIS).
+// with per-vertex exponents lubyJ(deg) (see DetLubyMIS). nbrDeg holds every
+// active vertex's active neighbours with their active degrees.
 type lubyPsi struct {
-	ms           *markState
-	active       *bitset.Set
-	view, nbrDeg [][]int32
-	deg          []int32
-	fp           fixedPoint
+	ms     *markState
+	active *bitset.Set
+	nbrDeg *graph.Adjacency
+	deg    []int32
+	fp     fixedPoint
 }
 
 // newLubyPsi builds the potential of one iteration over a family of nbits
 // segments (every exponent lubyJ(deg) is at most nbits); callers check p.fp
 // before evaluating it.
-func newLubyPsi(ms *markState, active *bitset.Set, view, nbrDeg [][]int32, deg []int32) *lubyPsi {
-	p := &lubyPsi{ms: ms, active: active, view: view, nbrDeg: nbrDeg, deg: deg}
+func newLubyPsi(ms *markState, active *bitset.Set, nbrDeg *graph.Adjacency, deg []int32) *lubyPsi {
+	p := &lubyPsi{ms: ms, active: active, nbrDeg: nbrDeg, deg: deg}
 	terms := newTermClasses(ms.fam.NBits())
 	active.ForEach(func(v int) bool {
 		if deg[v] == 0 {
@@ -557,7 +559,7 @@ func newLubyPsi(ms *markState, active *bitset.Set, view, nbrDeg [][]int32, deg [
 		d := uint64(deg[v])
 		jv := lubyJ(int(deg[v]))
 		terms.add(0, jv, 1, d)
-		for _, du := range nbrDeg[v] {
+		for _, du := range nbrDeg.ValsOf(v) {
 			terms.add(jv, lubyJ(int(du)), 1, d)
 		}
 		return true
@@ -577,8 +579,9 @@ func (p *lubyPsi) addTerms(ce *chunkEval, v int, buf []int64) {
 	}
 	d := int64(p.deg[v])
 	ce.addMark(buf, d, v, jv)
-	for i, u := range p.view[v] {
-		ce.addPair(buf, -d, v, int(u), jv, lubyJ(int(p.nbrDeg[v][i])))
+	du := p.nbrDeg.ValsOf(v)
+	for i, u := range p.nbrDeg.Of(v) {
+		ce.addPair(buf, -d, v, int(u), jv, lubyJ(int(du[i])))
 	}
 }
 

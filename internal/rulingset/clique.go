@@ -84,17 +84,17 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 		if active.Count() == 0 {
 			break
 		}
-		view, err := cliqueActiveView(c, g, active)
+		view, err := cliqueActiveView(c, g, active, "view")
 		if err != nil {
 			return CliqueResult{}, err
 		}
 		ps := PhaseStat{Phase: len(phases) + 1, J: j, ActiveBefore: active.Count()}
 		highDeg := 1 << uint(j)
 		active.ForEach(func(v int) bool {
-			if len(view[v]) >= highDeg {
+			if len(view.Of(v)) >= highDeg {
 				ps.HighDegBefore++
 			}
-			for _, u := range view[v] {
+			for _, u := range view.Of(v) {
 				if int(u) > v {
 					ps.ActiveEdges++
 				}
@@ -118,7 +118,7 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 		}
 		ps.Marked = marks.Count()
 		marks.ForEach(func(v int) bool {
-			for _, u := range view[v] {
+			for _, u := range view.Of(v) {
 				if int(u) > v && marks.Contains(int(u)) {
 					ps.CandidateEdges++
 				}
@@ -185,10 +185,10 @@ func cliqueRuling2(g *graph.Graph, o Options, deterministic bool) (CliqueResult,
 
 // cliqueActiveView performs the one-round neighborhood exchange: active
 // nodes announce themselves to neighbors; each active node collects the
-// ascending list of its active neighbors.
-func cliqueActiveView(c *clique.Cluster, g *graph.Graph, active *bitset.Set) ([][]int32, error) {
+// ascending list of its active neighbors (inactive nodes get empty lists).
+func cliqueActiveView(c *clique.Cluster, g *graph.Graph, active *bitset.Set, name string) (*graph.Adjacency, error) {
 	n := g.N()
-	if err := c.Step("view", func(x *clique.Ctx) {
+	if err := c.Step(name, func(x *clique.Ctx) {
 		if !active.Contains(x.Node) {
 			return
 		}
@@ -198,22 +198,23 @@ func cliqueActiveView(c *clique.Cluster, g *graph.Graph, active *bitset.Set) ([]
 	}); err != nil {
 		return nil, err
 	}
-	view := make([][]int32, n)
+	off := make([]int32, n+1)
+	var nbrs []int32
 	for v := 0; v < n; v++ {
 		msgs := c.Drain(v)
-		if !active.Contains(v) {
-			continue
+		if active.Contains(v) {
+			for _, msg := range msgs {
+				nbrs = append(nbrs, int32(msg.Src))
+			}
 		}
-		for _, msg := range msgs {
-			view[v] = append(view[v], int32(msg.Src))
-		}
+		off[v+1] = int32(len(nbrs))
 	}
-	return view, nil
+	return graph.NewAdjacency(off, nbrs, nil), nil
 }
 
 // cliqueDetMarks selects the phase's hash seed by conditional expectations
 // using the clique's O(1)-round scatter-aggregate collective per chunk.
-func cliqueDetMarks(c *clique.Cluster, o Options, active *bitset.Set, view [][]int32, j int, marks *bitset.Set, ps *PhaseStat) error {
+func cliqueDetMarks(c *clique.Cluster, o Options, active *bitset.Set, view *graph.Adjacency, j int, marks *bitset.Set, ps *PhaseStat) error {
 	n := active.Len()
 	fam, err := hash.NewBits(n, j)
 	if err != nil {
@@ -310,25 +311,9 @@ func cliqueSolveResidual(c *clique.Cluster, g *graph.Graph, cand *bitset.Set) ([
 	n := g.N()
 	c.Span("gather")
 	// Announce: candidates tell their neighbors (one word per pair).
-	if err := c.Step("residual/announce", func(x *clique.Ctx) {
-		if !cand.Contains(x.Node) {
-			return
-		}
-		for _, u := range g.Neighbors(x.Node) {
-			x.Send(int(u), 1)
-		}
-	}); err != nil {
+	candNbrs, err := cliqueActiveView(c, g, cand, "residual/announce")
+	if err != nil {
 		return nil, nil, err
-	}
-	candNbrs := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		msgs := c.Drain(v)
-		if !cand.Contains(v) {
-			continue
-		}
-		for _, msg := range msgs {
-			candNbrs[v] = append(candNbrs[v], int32(msg.Src))
-		}
 	}
 	// Route: each candidate ships its candidate-incident edges (smaller
 	// endpoint owns) to node 0 under Lenzen's per-node budgets.
@@ -336,7 +321,7 @@ func cliqueSolveResidual(c *clique.Cluster, g *graph.Graph, cand *bitset.Set) ([
 		if !cand.Contains(x.Node) {
 			return
 		}
-		for _, u := range candNbrs[x.Node] {
+		for _, u := range candNbrs.Of(x.Node) {
 			if int(u) > x.Node {
 				x.Send(0, uint64(uint32(x.Node))<<32|uint64(uint32(u)))
 			}

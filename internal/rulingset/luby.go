@@ -59,7 +59,7 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		if iter > o.MaxIterations {
 			return Result{}, fmt.Errorf("rulingset: luby iteration cap %d exceeded with %d active vertices", o.MaxIterations, remaining)
 		}
-		view, _, err := d.ExchangeActive("luby/view", active, nil)
+		view, err := d.ExchangeActive("luby/view", active, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -67,11 +67,12 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		joiners := bitset.New(n) // MIS joiners this iteration
 		activeEdges := 0
 		active.ForEach(func(v int) bool {
-			deg[v] = int32(len(view[v]))
+			nb := view.Of(v)
+			deg[v] = int32(len(nb))
 			if deg[v] == 0 {
 				joiners.Add(v) // isolated in the active graph: joins unconditionally
 			}
-			for _, u := range view[v] {
+			for _, u := range nb {
 				if int(u) > v {
 					activeEdges++
 				}
@@ -85,8 +86,9 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		}
 
 		// Share active degrees with neighbors (needed for conflict priority
-		// and, in the deterministic variant, for neighbor thresholds).
-		_, nbrDeg, err := d.ExchangeActive("luby/degrees", active, deg)
+		// and, in the deterministic variant, for neighbor thresholds). The
+		// result's lists repeat view's; its values are the degrees.
+		nbrDeg, err := d.ExchangeActive("luby/degrees", active, deg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -108,11 +110,11 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		if maxDeg > 0 {
 			switch {
 			case deterministic && o.LubyExactThresholds:
-				if err := detLubyValuesMarks(c, o, active, view, nbrDeg, deg, int(maxDeg), marks, &ps); err != nil {
+				if err := detLubyValuesMarks(c, o, active, nbrDeg, deg, int(maxDeg), marks, &ps); err != nil {
 					return Result{}, err
 				}
 			case deterministic:
-				if err := detLubyMarks(c, o, active, view, nbrDeg, deg, int(maxDeg), marks, &ps, rng); err != nil {
+				if err := detLubyMarks(c, o, active, nbrDeg, deg, int(maxDeg), marks, &ps, rng); err != nil {
 					return Result{}, err
 				}
 			default:
@@ -132,14 +134,15 @@ func lubyMIS(g *graph.Graph, o Options, deterministic bool) (Result, error) {
 		// Conflict resolution: marked vertices exchange (id, degree); the
 		// lexicographically larger (degree, id) endpoint of each marked edge
 		// survives.
-		mNbrs, mDegs, err := d.ExchangeActive("luby/resolve", marks, deg)
+		resolve, err := d.ExchangeActive("luby/resolve", marks, deg)
 		if err != nil {
 			return Result{}, err
 		}
 		marks.ForEach(func(v int) bool {
 			wins := true
-			for i, w := range mNbrs[v] {
-				dw := mDegs[v][i]
+			mDegs := resolve.ValsOf(v)
+			for i, w := range resolve.Of(v) {
+				dw := mDegs[i]
 				if dw > deg[v] || (dw == deg[v] && w > int32(v)) {
 					wins = false
 					break
@@ -198,7 +201,7 @@ func lubyJ(d int) int {
 
 // detLubyMarks runs one derandomized Luby marking step with the AND-family
 // (per-vertex power-of-two probabilities), honoring Options.SeedPolicy.
-func detLubyMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbrDeg [][]int32, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
+func detLubyMarks(c *mpc.Cluster, o Options, active *bitset.Set, nbrDeg *graph.Adjacency, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
 	n := active.Len()
 	maxJ := lubyJ(maxDeg)
 	fam, err := hash.NewBits(n, maxJ)
@@ -208,7 +211,7 @@ func detLubyMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbrDeg []
 	seed := fam.NewSeed()
 	ms := newMarkState(fam, n)
 
-	psi := newLubyPsi(ms, active, view, nbrDeg, deg)
+	psi := newLubyPsi(ms, active, nbrDeg, deg)
 	if err := psi.fp.check("luby", o.SeedPolicy == SeedConditionalExpectations); err != nil {
 		return err
 	}
@@ -260,7 +263,7 @@ func detLubyMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbrDeg []
 // estimator is the same Ψ, with conditional probabilities from the value
 // family's digit DP (exact, but O(ℓ) per term instead of O(1): the ablation
 // quantifies what the AND-family's speed costs in marking fidelity).
-func detLubyValuesMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbrDeg [][]int32, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
+func detLubyValuesMarks(c *mpc.Cluster, o Options, active *bitset.Set, nbrDeg *graph.Adjacency, deg []int32, maxDeg int, marks *bitset.Set, ps *PhaseStat) error {
 	n := active.Len()
 	ell := lubyJ(maxDeg) + 2 // enough resolution for the smallest threshold
 	fam, err := hash.NewValues(n, ell)
@@ -287,8 +290,9 @@ func detLubyValuesMarks(c *mpc.Cluster, o Options, active *bitset.Set, view, nbr
 			pv := fam.BelowProb(s, v, tv)
 			term := pv
 			if pv != 0 {
-				for i, u := range view[v] {
-					term -= fam.PairBelowProb(s, v, int(u), tv, threshold(nbrDeg[v][i]))
+				du := nbrDeg.ValsOf(v)
+				for i, u := range nbrDeg.Of(v) {
+					term -= fam.PairBelowProb(s, v, int(u), tv, threshold(du[i]))
 				}
 			}
 			psi += float64(deg[v]) * term

@@ -144,7 +144,7 @@ func sparsifyOracle(p *sparsifyPhi, lo, hi int, s *hash.Seed) float64 {
 		if !p.active.Contains(v) {
 			continue
 		}
-		nb := p.view[v]
+		nb := p.view.Of(v)
 		if int(ms.firstZero[v]) >= minInt(ms.fixedSegs, j) {
 			for _, u := range nb {
 				if int(u) > v {
@@ -183,8 +183,9 @@ func lubyOracle(p *lubyPsi, lo, hi int, s *hash.Seed) float64 {
 		pv := ec.markProb(v, jv)
 		term := pv
 		if pv != 0 {
-			for i, u := range p.view[v] {
-				term -= ec.pairProb(v, int(u), jv, lubyJ(int(p.nbrDeg[v][i])))
+			du := p.nbrDeg.ValsOf(v)
+			for i, u := range p.nbrDeg.Of(v) {
+				term -= ec.pairProb(v, int(u), jv, lubyJ(int(du[i])))
 			}
 		}
 		psi += float64(p.deg[v]) * term
@@ -316,7 +317,7 @@ func sparsifyCase(t testing.TB, active *bitset.Set, view [][]int32, j, benefitCa
 		t.Fatal(err)
 	}
 	ms := newMarkState(fam, n)
-	phi := newSparsifyPhi(ms, Options{BenefitCap: benefitCap, EstimatorAlpha: alpha}, active, view, j)
+	phi := newSparsifyPhi(ms, Options{BenefitCap: benefitCap, EstimatorAlpha: alpha}, active, csr(view, nil), j)
 	if err := phi.fp.check("sparsify", true); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func lubyCase(t testing.TB, active *bitset.Set, view [][]int32) (batchCase, bool
 		t.Fatal(err)
 	}
 	ms := newMarkState(fam, n)
-	psi := newLubyPsi(ms, active, view, nbrDeg, deg)
+	psi := newLubyPsi(ms, active, csr(view, nbrDeg), deg)
 	if err := psi.fp.check("luby", true); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +485,7 @@ func firstLubyPsi(t testing.TB, g *graph.Graph) *lubyPsi {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newLubyPsi(newMarkState(fam, n), active, view, nbrDeg, deg)
+	return newLubyPsi(newMarkState(fam, n), active, csr(view, nbrDeg), deg)
 }
 
 // firstSparsifyPhi builds the potential of DetRuling2's first sampling
@@ -505,7 +506,22 @@ func firstSparsifyPhi(t testing.TB, g *graph.Graph, o Options) *sparsifyPhi {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSparsifyPhi(newMarkState(fam, n), o.withDefaults(n), active, view, j)
+	return newSparsifyPhi(newMarkState(fam, n), o.withDefaults(n), active, csr(view, nil), j)
+}
+
+// csr packs per-vertex lists, and values aligned with them when vals is
+// non-nil, into the exchange's CSR layout.
+func csr(lists, vals [][]int32) *graph.Adjacency {
+	off := make([]int32, len(lists)+1)
+	var nbrs, flatVals []int32
+	for v, l := range lists {
+		nbrs = append(nbrs, l...)
+		if vals != nil {
+			flatVals = append(flatVals, vals[v]...)
+		}
+		off[v+1] = int32(len(nbrs))
+	}
+	return graph.NewAdjacency(off, nbrs, flatVals)
 }
 
 // TestPrecisionGuard checks the fixed-point range guard: a potential whose

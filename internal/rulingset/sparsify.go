@@ -8,6 +8,7 @@ import (
 
 	"github.com/rulingset/mprs/internal/bitset"
 	"github.com/rulingset/mprs/internal/derand"
+	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/hash"
 	"github.com/rulingset/mprs/internal/mpc"
 )
@@ -68,7 +69,7 @@ func runPhases(d *mpc.DistGraph, o Options, st *sparsifyState, js []int, determi
 		if len(st.phases) >= o.MaxPhases {
 			return fmt.Errorf("rulingset: phase cap %d exceeded", o.MaxPhases)
 		}
-		view, _, err := d.ExchangeActive("sparsify/view", st.active, nil)
+		view, err := d.ExchangeActive("sparsify/view", st.active, nil)
 		if err != nil {
 			return err
 		}
@@ -79,7 +80,7 @@ func runPhases(d *mpc.DistGraph, o Options, st *sparsifyState, js []int, determi
 		}
 		capSize := 1 << uint(j)
 		st.active.ForEach(func(v int) bool {
-			nb := view[v]
+			nb := view.Of(v)
 			if len(nb) >= capSize {
 				ps.HighDegBefore++
 			}
@@ -108,7 +109,7 @@ func runPhases(d *mpc.DistGraph, o Options, st *sparsifyState, js []int, determi
 
 		ps.Marked = marks.Count()
 		marks.ForEach(func(v int) bool {
-			for _, u := range view[v] {
+			for _, u := range view.Of(v) {
 				if int(u) > v && marks.Contains(int(u)) {
 					ps.CandidateEdges++
 				}
@@ -169,7 +170,7 @@ func (st *sparsifyState) absorbActive() {
 //
 // The ablation knobs (Options.SeedPolicy, EstimatorAlpha, BenefitCap) vary
 // the construction; their defaults are the paper's choices.
-func detMarks(c *mpc.Cluster, o Options, active *bitset.Set, view [][]int32, j int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
+func detMarks(c *mpc.Cluster, o Options, active *bitset.Set, view *graph.Adjacency, j int, marks *bitset.Set, ps *PhaseStat, rng *rand.Rand) error {
 	n := active.Len()
 	fam, err := hash.NewBits(n, j)
 	if err != nil {

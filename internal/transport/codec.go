@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/rulingset/mprs/internal/mpc"
 )
@@ -32,9 +33,21 @@ var ErrCodec = errors.New("transport: malformed messages payload")
 var ErrDiverged = errors.New("transport: replica divergence")
 
 // encodeOwned serializes the messages of boxes whose sender is owned by the
-// caller (owns reports ownership of a machine id).
+// caller (owns reports ownership of a machine id). A sizing pass computes
+// the frame's exact length, so the payload is one allocation.
 func encodeOwned(boxes [][]mpc.Message, owns func(src int) bool) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(boxes)))
+	size := uvarintLen(uint64(len(boxes)))
+	for _, box := range boxes {
+		count := 0
+		for _, msg := range box {
+			if owns(msg.Src) {
+				count++
+				size += uvarintLen(uint64(msg.Src)) + uvarintLen(uint64(len(msg.Payload))) + 8*len(msg.Payload)
+			}
+		}
+		size += uvarintLen(uint64(count))
+	}
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(boxes)))
 	for _, box := range boxes {
 		count := 0
 		for _, msg := range box {
@@ -55,6 +68,11 @@ func encodeOwned(boxes [][]mpc.Message, owns func(src int) bool) []byte {
 		}
 	}
 	return buf
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // payloadReader decodes the canonical layout with bounds checking.

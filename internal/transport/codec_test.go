@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/hex"
 	"errors"
 	"io"
 	"sync"
@@ -74,6 +75,82 @@ func TestVerifyRejectsMalformedPayload(t *testing.T) {
 	// Trailing garbage is an error too.
 	if err := verifyOwned(boxes, owns, append(append([]byte(nil), payload...), 0x01)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// goldenBoxes is a fixed layout over 4 machines, split between 2 workers
+// (machines 0-1 and 2-3): an empty box, empty and nil payloads, a
+// full-width word, varint-sized payload words and a box holding only one
+// worker's messages.
+func goldenBoxes() [][]mpc.Message {
+	return [][]mpc.Message{
+		{{Src: 0, Payload: []uint64{1, 2}}, {Src: 1, Payload: nil}, {Src: 2, Payload: []uint64{0xdeadbeefcafef00d}}, {Src: 3, Payload: []uint64{7}}},
+		nil,
+		{{Src: 1, Payload: []uint64{}}, {Src: 3, Payload: []uint64{1 << 63, 300}}},
+		{{Src: 2, Payload: []uint64{5}}},
+		{{Src: 0, Payload: []uint64{}}, {Src: 0, Payload: []uint64{0xff}}},
+	}
+}
+
+// goldenFrames are goldenBoxes encoded for workers 0 and 1. The bytes are the
+// wire format: a change here breaks every mixed-version worker group.
+var goldenFrames = []string{
+	"0502000201000000000000000200000000000000010000010100000200000001ff00000000000000",
+	"050202010df0fecaefbeadde030107000000000000000001030200000000000000802c01000000000000010201050000000000000000",
+}
+
+func TestEncodeOwnedGolden(t *testing.T) {
+	const total, workers = 4, 2
+	boxes := goldenBoxes()
+	for w, want := range goldenFrames {
+		owns := func(src int) bool { return OwnerOf(src, total, workers) == w }
+		payload := encodeOwned(boxes, owns)
+		if got := hex.EncodeToString(payload); got != want {
+			t.Fatalf("worker %d frame:\n got %s\nwant %s", w, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { encodeOwned(boxes, owns) }); allocs != 1 {
+			t.Errorf("worker %d: encodeOwned allocates %v objects per frame, want 1", w, allocs)
+		}
+		if err := verifyOwned(boxes, owns, payload); err != nil {
+			t.Fatalf("worker %d: golden frame rejected: %v", w, err)
+		}
+		// Flip one word of the first owned non-empty payload: the replica
+		// no longer matches the frame.
+		flipped := goldenBoxes()
+	flip:
+		for _, box := range flipped {
+			for _, msg := range box {
+				if owns(msg.Src) && len(msg.Payload) > 0 {
+					msg.Payload[len(msg.Payload)-1] ^= 1 << 40
+					break flip
+				}
+			}
+		}
+		if err := verifyOwned(flipped, owns, payload); !errors.Is(err, ErrDiverged) {
+			t.Fatalf("worker %d: one-word flip: %v, want ErrDiverged", w, err)
+		}
+	}
+}
+
+// TestEncodeOwnedExactSize: multi-byte varints (a sender id, a message count
+// and a payload length of 128 or more) are sized exactly, so the frame
+// never outgrows its one allocation.
+func TestEncodeOwnedExactSize(t *testing.T) {
+	const total = 200
+	boxes := make([][]mpc.Message, total)
+	for src := 0; src < total; src++ {
+		boxes[0] = append(boxes[0], mpc.Message{Src: src})
+	}
+	boxes[1] = []mpc.Message{{Src: 150, Payload: make([]uint64, 130)}}
+	for w := 0; w < 2; w++ {
+		owns := func(src int) bool { return OwnerOf(src, total, 2) == w }
+		payload := encodeOwned(boxes, owns)
+		if len(payload) != cap(payload) {
+			t.Fatalf("worker %d: frame of %d bytes in a buffer of %d", w, len(payload), cap(payload))
+		}
+		if err := verifyOwned(boxes, owns, payload); err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
 	}
 }
 

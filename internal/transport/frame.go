@@ -88,17 +88,24 @@ func appendHeader(b []byte, f Frame) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc)
 }
 
-// WriteFrame writes one frame. The header and payload go out in a single
-// Write call so a frame is never interleaved with another writer's bytes as
-// long as callers serialize on the same Conn.
+// WriteFrame writes one frame: the header, then the payload as is, in two
+// Write calls, so relaying a frame never copies its payload. A frame is
+// never interleaved with another writer's bytes as long as callers
+// serialize on the same Conn (or, like the supervisor's per-worker relay
+// goroutine, are the writer's only user).
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFramePayload {
 		return fmt.Errorf("%w: payload %d bytes exceeds %d", ErrFraming, len(f.Payload), MaxFramePayload)
 	}
-	buf := make([]byte, 0, headerLen+len(f.Payload))
-	buf = appendHeader(buf, f)
-	buf = append(buf, f.Payload...)
-	if _, err := w.Write(buf); err != nil {
+	var hdr [headerLen]byte
+	appendHeader(hdr[:0], f)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	if len(f.Payload) == 0 {
+		return nil
+	}
+	if _, err := w.Write(f.Payload); err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil

@@ -130,3 +130,32 @@ func TestOwnerOf(t *testing.T) {
 		}
 	}
 }
+
+// writeLog records the slices handed to Write.
+type writeLog struct{ writes [][]byte }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, p)
+	return len(p), nil
+}
+
+// TestWriteFrameDoesNotCopyPayload: the relay path writes the payload slice
+// itself after the header, so forwarding a frame allocates no copy of it.
+func TestWriteFrameDoesNotCopyPayload(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5A}, 1<<12)
+	w := &writeLog{}
+	if err := WriteFrame(w, Frame{Type: FrameMessages, Worker: 1, Round: 3, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.writes) != 2 || len(w.writes[0]) != headerLen || &w.writes[1][0] != &payload[0] || len(w.writes[1]) != len(payload) {
+		t.Fatalf("writes of %d slices; want the %d-byte header, then the payload itself", len(w.writes), headerLen)
+	}
+	var buf bytes.Buffer
+	for _, p := range w.writes {
+		buf.Write(p)
+	}
+	got, err := ReadFrame(&buf)
+	if err != nil || !bytes.Equal(got.Payload, payload) || got.Round != 3 || got.Worker != 1 {
+		t.Fatalf("reassembled frame: %+v, %v", got, err)
+	}
+}
