@@ -60,7 +60,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
@@ -129,14 +128,6 @@ func graphFlags(fs *flag.FlagSet) graphSource {
 		in:   fs.String("in", "", "read graph from a file instead (text edge list or the -binary format)"),
 		seed: fs.Int64("seed", 1, "generator seed"),
 	}
-}
-
-// describe renders the input source for trace headers and table titles.
-func (s graphSource) describe() string {
-	if *s.spec != "" {
-		return *s.spec
-	}
-	return "file:" + *s.in
 }
 
 func (s graphSource) load() (*graph.Graph, error) {
@@ -253,65 +244,74 @@ func cmdRun(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
+	var reg mpc.Regime
+	switch *regime {
+	case "linear":
+		reg = mpc.RegimeLinear
+	case "sublinear":
+		reg = mpc.RegimeSublinear
+	case "explicit":
+		reg = mpc.RegimeExplicit
+	default:
+		return fmt.Errorf("unknown regime %q", *regime)
+	}
+	ckptEvery := *ckpt
+	if *ckptDir != "" && ckptEvery <= 0 {
+		ckptEvery = defaultCheckpointEvery
+	}
+	// One spec describes the job on either backend.
+	spec := supervise.JobSpec{
+		Algo:             *algo,
+		GraphSpec:        *src.spec,
+		GraphFile:        *src.in,
+		GenSeed:          *src.seed,
+		Machines:         *machines,
+		Regime:           int(reg),
+		Epsilon:          *epsilon,
+		MemoryWords:      *memory,
+		LinearSlack:      *slack,
+		ChunkBits:        *chunk,
+		AlgoSeed:         *algoSeed,
+		Strict:           *strict,
+		Beta:             *beta,
+		Alpha:            *alpha,
+		Faults:           *faults,
+		FaultSeed:        *fseed,
+		CheckpointEvery:  ckptEvery,
+		CheckpointDir:    *ckptDir,
+		CheckpointRetain: *ckptRetain,
+		TraceFile:        *traceFile,
+		Parallelism:      *par,
+	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	plan, err := chaos.Parse(*faults, *fseed)
 	if err != nil {
 		return err
 	}
-	opts := rulingset.Options{
-		Machines:        *machines,
-		Epsilon:         *epsilon,
-		MemoryWords:     *memory,
-		LinearSlack:     *slack,
-		ChunkBits:       *chunk,
-		Seed:            *algoSeed,
-		Strict:          *strict,
-		Faults:          plan.Sim,
-		CheckpointEvery: *ckpt,
-		Parallelism:     *par,
-	}
-	switch *regime {
-	case "linear":
-		opts.Regime = mpc.RegimeLinear
-	case "sublinear":
-		opts.Regime = mpc.RegimeSublinear
-	case "explicit":
-		opts.Regime = mpc.RegimeExplicit
-	default:
-		return fmt.Errorf("unknown regime %q", *regime)
+	rep := runReport{
+		algo:       *algo,
+		title:      fmt.Sprintf("%s on %v (%d machines, %s regime)", *algo, g, *machines, *regime),
+		g:          g,
+		phases:     *phases,
+		rounds:     *rounds,
+		spans:      *spans,
+		verify:     *verify,
+		membersOut: *membersOut,
+		statsOut:   *statsOut,
+		faults:     plan.Sim,
 	}
 
-	if *backend == "multiproc" {
+	switch *backend {
+	case "multiproc":
 		switch {
 		case *resume:
 			return fmt.Errorf("-backend multiproc: -resume is owned by the supervisor (it restarts crashed workers from their checkpoints itself)")
 		case *profile != "":
 			return fmt.Errorf("-backend multiproc: -profile captures one process's CPU/heap and would miss the workers; run it on -backend inproc (-debug-addr works here: the supervisor serves the fleet view)")
 		}
-		ckptEvery := opts.CheckpointEvery
-		if *ckptDir != "" && ckptEvery <= 0 {
-			ckptEvery = defaultCheckpointEvery
-		}
-		spec := supervise.JobSpec{
-			Algo:             *algo,
-			GraphSpec:        *src.spec,
-			GraphFile:        *src.in,
-			GenSeed:          *src.seed,
-			Machines:         *machines,
-			Regime:           int(opts.Regime),
-			Epsilon:          *epsilon,
-			MemoryWords:      *memory,
-			LinearSlack:      *slack,
-			ChunkBits:        *chunk,
-			AlgoSeed:         *algoSeed,
-			Strict:           *strict,
-			Faults:           *faults,
-			FaultSeed:        *fseed,
-			CheckpointEvery:  ckptEvery,
-			CheckpointDir:    *ckptDir,
-			CheckpointRetain: *ckptRetain,
-			TraceFile:        *traceFile,
-			Parallelism:      *par,
-		}
+		rep.title = fmt.Sprintf("%s on %v (%d machines, %s regime, %d workers)", *algo, g, *machines, *regime, *workers)
 		return runMultiProc(spec, multiProcFlags{
 			workers:          *workers,
 			heartbeat:        *heartbeat,
@@ -323,19 +323,9 @@ func cmdRun(args []string) (retErr error) {
 			flapLimit:        *flapLimit,
 			maxFleetRestarts: *maxFleetRestarts,
 			degradedFallback: *degraded,
-		}, runReport{
-			algo:       *algo,
-			title:      fmt.Sprintf("%s on %v (%d machines, %s regime, %d workers)", *algo, g, *machines, *regime, *workers),
-			g:          g,
-			phases:     *phases,
-			rounds:     *rounds,
-			spans:      *spans,
-			verify:     *verify,
-			membersOut: *membersOut,
-			statsOut:   *statsOut,
-			faults:     plan.Sim,
-		})
-	} else if *backend != "inproc" {
+		}, rep)
+	case "inproc":
+	default:
 		return fmt.Errorf("unknown backend %q (want inproc or multiproc)", *backend)
 	}
 
@@ -345,8 +335,8 @@ func cmdRun(args []string) (retErr error) {
 	if plan.HasWire() || plan.MaxWorker() > 0 || len(plan.Kills()) < len(plan.Proc) {
 		return fmt.Errorf("-faults: backend inproc accepts sim faults, disk: events and proc:kill for worker 0 only (wire:, proc:flap and other workers need -backend multiproc)")
 	}
-	if plan.HasDisk(0) && *ckptDir == "" {
-		return fmt.Errorf("-faults: disk: events need -checkpoint-dir (they attack the durable checkpoint store)")
+	if *resume && *ckptDir == "" {
+		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 
 	// Cooperative cancellation: an interrupt cancels the run at the next
@@ -354,99 +344,32 @@ func cmdRun(args []string) (retErr error) {
 	// (instead of killing the process mid-write).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	opts.Context = ctx
-
-	// Durable checkpointing. Resolve the store — and, with -resume, the
-	// checkpoint to restart from — before the tracer is composed, so the
-	// trace header can record the resume round and the JSONL sink can splice
-	// (a resumed trace carries only post-resume events; concatenating it onto
-	// the interrupted run's trace reconstructs the uninterrupted stream).
-	var store *durable.Store
-	resumedFrom := 0
-	if *resume && *ckptDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint-dir")
-	}
-	if *ckptDir != "" {
-		if !durableAlgos[*algo] {
-			return fmt.Errorf("-checkpoint-dir: algorithm %q does not support durable checkpointing (single-cluster only: luby, detluby, rand2, det2)", *algo)
-		}
-		if opts.CheckpointEvery <= 0 {
-			opts.CheckpointEvery = defaultCheckpointEvery
-		}
-		fp := runFingerprint(*algo, src.describe(), *src.seed, opts, chaos.SimSpec(*faults), *fseed)
-		// Disk events (if any) interpose at the durable.FS seam; the
-		// in-process run is "worker 0, attempt 0" of the plan.
-		store, err = durable.OpenFS(*ckptDir, fp, *ckptRetain, chaos.NewDiskFS(plan, 0, 0))
-		if err != nil {
-			return err
-		}
-		store.SetBuildStamp(buildStamp())
-		opts.CheckpointSink = store
-		if *resume {
-			meta, state, err := store.LoadLatest()
+	local := supervise.Local{Graph: g, Context: ctx}
+	if *resume {
+		// A resumed trace records the resume round and carries only the
+		// rounds after it, so it splices onto the interrupted run's trace.
+		local.Resume = func(st *durable.Store) (*mpc.ResumeState, error) {
+			meta, state, err := st.LoadLatest()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			opts.Resume = &mpc.ResumeState{Round: meta.Round, State: state}
-			resumedFrom = meta.Round
-			fmt.Fprintf(os.Stderr, "resuming from durable checkpoint at round %d in %s\n", meta.Round, store.Dir())
+			rep.resumedFrom = meta.Round
+			fmt.Fprintf(os.Stderr, "resuming from durable checkpoint at round %d in %s\n", meta.Round, st.Dir())
+			return &mpc.ResumeState{Round: meta.Round, State: state}, nil
 		}
-	}
-
-	// Compose the tracer: an optional JSONL file sink plus an optional live
-	// view for the debug endpoint. Both observe the same committed supersteps.
-	var sinks trace.Multi
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		tr := trace.NewJSONL(f)
-		machines := *machines
-		if *algo == "clique2" || *algo == "cliquedet2" {
-			machines = g.N() // the clique simulates one machine per vertex
-		}
-		if err := tr.WriteHeader(trace.Header{
-			Algo:        *algo,
-			Spec:        src.describe(),
-			Seed:        *algoSeed,
-			Machines:    machines,
-			Build:       buildStamp(),
-			ResumedFrom: resumedFrom,
-		}); err != nil {
-			f.Close()
-			return fmt.Errorf("trace %s: %w", *traceFile, err)
-		}
-		if resumedFrom > 0 {
-			// Replayed rounds were already traced by the interrupted run;
-			// emit only what happens after the resume point.
-			sinks = append(sinks, trace.FromRound{Sink: tr, After: resumedFrom})
-		} else {
-			sinks = append(sinks, tr)
-		}
-		defer func() {
-			if err := tr.Close(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("trace %s: %w", *traceFile, err)
-			}
-		}()
 	}
 	for _, k := range plan.Kills() {
-		sinks = append(sinks, killSink{round: k.Round})
+		local.Sinks = append(local.Sinks, killSink{round: k.Round})
 	}
 	// Telemetry is observer-only: the collector feeds the -debug-addr
 	// endpoints and the -flight-dir post-mortem, and the run's deterministic
 	// outputs (members, canonical stats, trace and checkpoint bytes) are
 	// bit-identical with or without it — pinned by test.
-	var col *telemetry.Collector
 	if *debugAddr != "" || *flightDir != "" {
-		col = telemetry.NewCollector(telemetry.CollectorOptions{})
-		sinks = append(sinks, col)
-		if opts.CheckpointSink != nil {
-			opts.CheckpointSink = col.WrapCheckpointSink(opts.CheckpointSink)
-		}
+		local.Telemetry = telemetry.NewCollector(telemetry.CollectorOptions{})
 	}
 	if *flightDir != "" {
-		dir := *flightDir
+		dir, col := *flightDir, local.Telemetry
 		defer func() {
 			if retErr == nil {
 				return // flights are post-mortems; successful runs leave none
@@ -458,7 +381,7 @@ func cmdRun(args []string) (retErr error) {
 			}
 			if _, err := telemetry.WriteFlightFile(dir, telemetry.FlightHeader{
 				Worker: -1, Round: round, Kind: "error", Reason: retErr.Error(),
-				Algo: *algo, Spec: src.describe(),
+				Algo: *algo, Spec: spec.SpecLabel(),
 			}, evs); err != nil {
 				fmt.Fprintf(os.Stderr, "mprs: flight recorder: %v\n", err)
 			}
@@ -466,16 +389,13 @@ func cmdRun(args []string) (retErr error) {
 	}
 	if *debugAddr != "" {
 		live := trace.NewLive()
-		sinks = append(sinks, live)
-		ln, err := startDebugServer(*debugAddr, live, col)
+		local.Sinks = append(local.Sinks, live)
+		ln, err := startDebugServer(*debugAddr, live, local.Telemetry)
 		if err != nil {
 			return err
 		}
 		defer ln.Close()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/metrics (also /telemetry.json, /debug/vars, /debug/pprof/)\n", ln.Addr())
-	}
-	if len(sinks) > 0 {
-		opts.Tracer = sinks
 	}
 	if *profile != "" {
 		stop, err := startProfiles(*profile)
@@ -489,82 +409,31 @@ func cmdRun(args []string) (retErr error) {
 		}()
 	}
 
+	start := time.Now()
 	if *algo == "greedy" {
-		start := time.Now()
 		mis := rulingset.GreedyMIS(g)
 		fmt.Printf("greedy MIS: %d members in %v\n", len(mis), time.Since(start))
 		return writeMembers(*membersOut, mis)
 	}
-	if *algo == "clique2" || *algo == "cliquedet2" {
-		return runClique(g, *algo, opts, *verify, *spans, *membersOut, *statsOut)
+	if _, ok := rulingset.CliqueDrivers[*algo]; ok {
+		res, err := supervise.ExecuteClique(spec, local)
+		if err != nil {
+			return err
+		}
+		rep.wall = time.Since(start)
+		return reportClique(rep, res)
 	}
-
-	start := time.Now()
-	var res rulingset.Result
-	switch *algo {
-	case "luby":
-		res, err = rulingset.LubyMIS(g, opts)
-	case "detluby":
-		res, err = rulingset.DetLubyMIS(g, opts)
-	case "rand2":
-		res, err = rulingset.RandRuling2(g, opts)
-	case "det2":
-		res, err = rulingset.DetRuling2(g, opts)
-	case "randbeta":
-		res, err = rulingset.RandRulingBeta(g, *beta, opts)
-	case "detbeta":
-		res, err = rulingset.DetRulingBeta(g, *beta, opts)
-	case "randab":
-		res, err = rulingset.RandRulingAlphaBeta(g, *alpha, *beta, opts)
-	case "detab":
-		res, err = rulingset.DetRulingAlphaBeta(g, *alpha, *beta, opts)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	res, err := supervise.Execute(spec, local)
 	if err != nil {
 		return err
 	}
-	return reportResult(runReport{
-		algo:        *algo,
-		title:       fmt.Sprintf("%s on %v (%d machines, %s regime)", *algo, g, *machines, *regime),
-		g:           g,
-		res:         res,
-		wall:        time.Since(start),
-		phases:      *phases,
-		rounds:      *rounds,
-		spans:       *spans,
-		verify:      *verify,
-		membersOut:  *membersOut,
-		statsOut:    *statsOut,
-		faults:      opts.Faults,
-		store:       store,
-		resumedFrom: resumedFrom,
-	})
-}
-
-// durableAlgos are the -algo values that accept -checkpoint-dir/-resume: the
-// single-cluster MPC drivers, whose whole state is the per-machine word
-// arrays a durable checkpoint captures. The multi-cluster and clique drivers
-// reject durable options (see rulingset.Options).
-var durableAlgos = map[string]bool{
-	"luby": true, "detluby": true, "rand2": true, "det2": true,
+	rep.res, rep.wall, rep.storeDir = res, time.Since(start), *ckptDir
+	return reportResult(rep)
 }
 
 // defaultCheckpointEvery is the checkpoint cadence -checkpoint-dir implies
 // when -checkpoint-every is unset.
 const defaultCheckpointEvery = 8
-
-// runFingerprint renders the canonical run-configuration string stamped into
-// every durable checkpoint. Resume refuses a checkpoint whose fingerprint
-// differs — replaying a different configuration would silently break the
-// bit-identity contract. Every knob that feeds the deterministic replay is
-// included; observability flags (-trace, -phases, …) are not, and of the
-// fault plan only its sim layer is (faults is chaos.SimSpec of -faults).
-func runFingerprint(algo, spec string, genSeed int64, o rulingset.Options, faults string, fseed int64) string {
-	return fmt.Sprintf("mprs-run/1 algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s fault-seed=%d checkpoint-every=%d",
-		algo, spec, genSeed, o.Machines, o.Regime, o.Epsilon, o.MemoryWords,
-		o.LinearSlack, o.ChunkBits, o.Seed, o.Strict, faults, fseed, o.CheckpointEvery)
-}
 
 // killSink is proc:kill@R:0 on the in-process backend: a tracer that kills
 // the process with exit status 7 once round R commits. Because durable
@@ -607,17 +476,6 @@ func renderSpans(spans []mpc.SpanStat) error {
 	}
 	fmt.Println()
 	return st.Render(os.Stdout)
-}
-
-// buildStamp renders the binary's build info for trace headers. The stamp is
-// a pure function of the binary, so it never breaks trace byte-determinism
-// across runs of the same build.
-func buildStamp() json.RawMessage {
-	data, err := json.Marshal(buildinfo.Get())
-	if err != nil {
-		return nil
-	}
-	return data
 }
 
 // liveState is the expvar indirection: expvar.Publish panics on duplicate
@@ -690,50 +548,36 @@ func startProfiles(prefix string) (func() error, error) {
 	}, nil
 }
 
-// runClique executes the congested-clique algorithms, which carry their own
-// model statistics.
-func runClique(g *graph.Graph, algo string, opts rulingset.Options, verify, spans bool, membersOut, statsOut string) error {
-	start := time.Now()
-	var (
-		res rulingset.CliqueResult
-		err error
-	)
-	if algo == "clique2" {
-		res, err = rulingset.CliqueRandRuling2(g, opts)
-	} else {
-		res, err = rulingset.CliqueDetRuling2(g, opts)
-	}
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	tb := metrics.NewTable(fmt.Sprintf("%s on %v (congested clique, %d nodes)", algo, g, g.N()),
+// reportClique is reportResult for the congested-clique algorithms, which
+// carry their own model statistics.
+func reportClique(r runReport, res rulingset.CliqueResult) error {
+	tb := metrics.NewTable(fmt.Sprintf("%s on %v (congested clique, %d nodes)", r.algo, r.g, r.g.N()),
 		"members", "beta", "rounds", "messages", "words", "peak recv", "skew sent", "gini sent", "violations", "wall")
 	tb.AddRow(len(res.Members), res.Beta, res.Stats.Rounds, res.Stats.Messages,
 		res.Stats.Words, res.Stats.PeakRecv, res.Stats.SkewSent, res.Stats.GiniSent,
-		len(res.Stats.Violations), wall.String())
+		len(res.Stats.Violations), r.wall.String())
 	if err := tb.Render(os.Stdout); err != nil {
 		return err
 	}
-	if err := writeMembers(membersOut, res.Members); err != nil {
+	if err := writeMembers(r.membersOut, res.Members); err != nil {
 		return err
 	}
-	if err := writeCliqueStatsOut(statsOut, res.Stats); err != nil {
+	if err := writeCliqueStatsOut(r.statsOut, res.Stats); err != nil {
 		return err
 	}
-	if spans && len(res.Stats.Spans) > 0 {
+	if r.spans && len(res.Stats.Spans) > 0 {
 		if err := renderSpans(res.Stats.Spans); err != nil {
 			return err
 		}
 	}
-	if verify {
-		if !rulingset.IsRulingSet(g, res.Members, res.Beta) {
+	if r.verify {
+		if !rulingset.IsRulingSet(r.g, res.Members, res.Beta) {
 			return fmt.Errorf("verification failed")
 		}
 		fmt.Printf("verified: independent, radius <= %d\n", res.Beta)
 	}
-	if opts.Faults.Enabled() {
-		ft := metrics.NewTable(fmt.Sprintf("recovery under %s", opts.Faults),
+	if r.faults.Enabled() {
+		ft := metrics.NewTable(fmt.Sprintf("recovery under %s", r.faults),
 			"recovered crashes", "recovery rounds", "replayed words", "dropped", "duplicated", "stall rounds")
 		ft.AddRow(res.Stats.RecoveredCrashes, res.Stats.RecoveryRounds, res.Stats.ReplayedWords,
 			res.Stats.DroppedMessages, res.Stats.DupMessages, res.Stats.StallRounds)

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/rulingset/mprs/internal/graph"
+	"github.com/rulingset/mprs/internal/mpc"
+	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/telemetry"
 	"github.com/rulingset/mprs/internal/trace"
 )
@@ -206,6 +209,60 @@ func TestRunTraceFileDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(string(a), `"span":"seed-search"`) {
 		t.Error("trace missing seed-search span")
+	}
+}
+
+// TestRunAlgorithmParameters: -beta, -alpha and -memory reach the driver —
+// each CLI run writes the members and canonical stats of a direct driver
+// call with the same parameters.
+func TestRunAlgorithmParameters(t *testing.T) {
+	g := genTestGraph(t)
+	graphIn, err := graph.ReadFile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := rulingset.Options{Machines: 8, Regime: mpc.RegimeLinear, Epsilon: 0.5, LinearSlack: 16, ChunkBits: 4, Seed: 1}
+	explicit := base
+	explicit.Regime, explicit.MemoryWords = mpc.RegimeExplicit, 6000
+	for _, tc := range []struct {
+		name string
+		args []string
+		want func() (rulingset.Result, error)
+	}{
+		{"detbeta", []string{"-algo", "detbeta", "-beta", "3"},
+			func() (rulingset.Result, error) { return rulingset.DetRulingBeta(graphIn, 3, base) }},
+		{"detab", []string{"-algo", "detab", "-alpha", "3", "-beta", "2"},
+			func() (rulingset.Result, error) { return rulingset.DetRulingAlphaBeta(graphIn, 3, 2, base) }},
+		{"explicit memory", []string{"-algo", "det2", "-regime", "explicit", "-memory", "6000"},
+			func() (rulingset.Result, error) { return rulingset.DetRuling2(graphIn, explicit) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			members, stats := filepath.Join(dir, "members"), filepath.Join(dir, "stats")
+			args := append([]string{"run", "-in", g, "-chunk", "4", "-slack", "16",
+				"-members-out", members, "-stats-out", stats}, tc.args...)
+			if err := run(args); err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.want()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMembers, wantStats := filepath.Join(dir, "want.members"), filepath.Join(dir, "want.stats")
+			if err := writeMembers(wantMembers, want.Members); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeStatsOut(wantStats, want.Stats); err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range [][2]string{{wantMembers, members}, {wantStats, stats}} {
+				a, errA := os.ReadFile(pair[0])
+				b, errB := os.ReadFile(pair[1])
+				if errA != nil || errB != nil || len(a) == 0 || !bytes.Equal(a, b) {
+					t.Errorf("%s: CLI output differs from the direct driver call (%v, %v)", filepath.Base(pair[0]), errA, errB)
+				}
+			}
+		})
 	}
 }
 

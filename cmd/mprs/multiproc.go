@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/rulingset/mprs/internal/clique"
-	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/graph"
 	"github.com/rulingset/mprs/internal/metrics"
 	"github.com/rulingset/mprs/internal/mpc"
@@ -134,10 +133,10 @@ type runReport struct {
 
 	faults *mpc.FaultPlan
 
-	// store and resumedFrom drive the durable-checkpoints table; nil/0 when
-	// the run had no durable store in this process (always for multiproc —
-	// the workers own their stores).
-	store       *durable.Store
+	// storeDir and resumedFrom drive the durable-checkpoints table; ""/0
+	// when the run had no durable store in this process (always for
+	// multiproc — the workers own their stores).
+	storeDir    string
 	resumedFrom int
 }
 
@@ -195,10 +194,10 @@ func reportResult(r runReport) error {
 		}
 		fmt.Printf("verified: independent, radius <= %d\n", res.Beta)
 	}
-	if r.store != nil {
+	if r.storeDir != "" {
 		dt := metrics.NewTable("durable checkpoints",
 			"dir", "checkpoint bytes", "resumed from", "replayed rounds")
-		dt.AddRow(r.store.Dir(), res.Stats.CheckpointBytes, r.resumedFrom, res.Stats.ResumeReplayRounds)
+		dt.AddRow(r.storeDir, res.Stats.CheckpointBytes, r.resumedFrom, res.Stats.ResumeReplayRounds)
 		fmt.Println()
 		if err := dt.Render(os.Stdout); err != nil {
 			return err

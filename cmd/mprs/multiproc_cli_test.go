@@ -14,16 +14,17 @@ func TestRunMultiprocFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		"unknown backend":  {[]string{"-backend", "threads"}, "unknown backend"},
-		"unsupported algo": {[]string{"-backend", "multiproc", "-algo", "detbeta"}, "not supported on the multi-process backend"},
-		"resume":           {[]string{"-backend", "multiproc", "-checkpoint-dir", t.TempDir(), "-resume"}, "owned by the supervisor"},
-		"profile":          {[]string{"-backend", "multiproc", "-profile", "p"}, "-backend inproc"},
-		"bad kill round":   {[]string{"-backend", "multiproc", "-faults", "proc:kill@0:1"}, "proc round must be >= 1"},
-		"inproc wire":      {[]string{"-faults", "wire:dup@5:0"}, "backend inproc accepts"},
-		"inproc flap":      {[]string{"-faults", "proc:flap@5:0"}, "backend inproc accepts"},
-		"inproc worker 1":  {[]string{"-faults", "proc:kill@5:1"}, "backend inproc accepts"},
-		"inproc bare disk": {[]string{"-faults", "disk:torn@4:0"}, "need -checkpoint-dir"},
-		"too many workers": {[]string{"-backend", "multiproc", "-machines", "4", "-workers", "8"}, "must own at least one machine"},
+		"unknown backend":     {[]string{"-backend", "threads"}, "unknown backend"},
+		"unsupported algo":    {[]string{"-backend", "multiproc", "-algo", "detbeta"}, "not supported on the multi-process backend"},
+		"resume":              {[]string{"-backend", "multiproc", "-checkpoint-dir", t.TempDir(), "-resume"}, "owned by the supervisor"},
+		"profile":             {[]string{"-backend", "multiproc", "-profile", "p"}, "-backend inproc"},
+		"bad kill round":      {[]string{"-backend", "multiproc", "-faults", "proc:kill@0:1"}, "proc round must be >= 1"},
+		"inproc wire":         {[]string{"-faults", "wire:dup@5:0"}, "backend inproc accepts"},
+		"inproc flap":         {[]string{"-faults", "proc:flap@5:0"}, "backend inproc accepts"},
+		"inproc worker 1":     {[]string{"-faults", "proc:kill@5:1"}, "backend inproc accepts"},
+		"inproc bare disk":    {[]string{"-faults", "disk:torn@4:0"}, "need -checkpoint-dir"},
+		"multiproc bare disk": {[]string{"-backend", "multiproc", "-faults", "disk:torn@4:0"}, "need -checkpoint-dir"},
+		"too many workers":    {[]string{"-backend", "multiproc", "-machines", "4", "-workers", "8"}, "must own at least one machine"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			err := run(append([]string{"run", "-algo", "det2", "-in", g}, tc.args...))

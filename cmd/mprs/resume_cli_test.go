@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -187,5 +188,25 @@ func TestRunDieAtResumeSubprocess(t *testing.T) {
 	}
 	if len(files) == 0 || len(files) > 3 {
 		t.Fatalf("retention violated: %d checkpoint files %v", len(files), files)
+	}
+}
+
+// TestRunCheckpointRetain: -checkpoint-retain bounds the checkpoint files
+// a run leaves in -checkpoint-dir.
+func TestRunCheckpointRetain(t *testing.T) {
+	g := genTestGraph(t)
+	for _, retain := range []int{1, 2} {
+		dir := filepath.Join(t.TempDir(), "ck")
+		if err := run([]string{"run", "-algo", "det2", "-in", g, "-chunk", "4", "-checkpoint-every", "2",
+			"-checkpoint-dir", dir, "-checkpoint-retain", strconv.Itoa(retain)}); err != nil {
+			t.Fatal(err)
+		}
+		ckpts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ckpts) != retain {
+			t.Errorf("-checkpoint-retain %d left %d checkpoint files", retain, len(ckpts))
+		}
 	}
 }

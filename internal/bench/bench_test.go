@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/rulingset/mprs/internal/rulingset"
 )
 
 // quickRun executes the full quick registry once, host-stripped.
@@ -276,10 +278,10 @@ func TestDiffRowCoversNewColumns(t *testing.T) {
 // and algorithms, experiment anchors, both simulator models covered.
 func TestRegistryValid(t *testing.T) {
 	known := map[string]bool{}
-	for _, a := range mpcAlgos {
-		known[a.name] = true
+	for name := range rulingset.MPCDrivers {
+		known[name] = true
 	}
-	for name := range cliqueAlgos {
+	for name := range rulingset.CliqueDrivers {
 		known[name] = true
 	}
 	seen := map[string]bool{}

@@ -28,39 +28,6 @@ type RunConfig struct {
 	Progress func(string)
 }
 
-// mpcAlgo is one MPC-simulator algorithm entry.
-type mpcAlgo struct {
-	name string
-	run  func(*graph.Graph, Workload, rulingset.Options) (rulingset.Result, error)
-}
-
-var mpcAlgos = []mpcAlgo{
-	{"luby", func(g *graph.Graph, _ Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.LubyMIS(g, o)
-	}},
-	{"detluby", func(g *graph.Graph, _ Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.DetLubyMIS(g, o)
-	}},
-	{"rand2", func(g *graph.Graph, _ Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.RandRuling2(g, o)
-	}},
-	{"det2", func(g *graph.Graph, _ Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.DetRuling2(g, o)
-	}},
-	{"randbeta", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.RandRulingBeta(g, beta(w), o)
-	}},
-	{"detbeta", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.DetRulingBeta(g, beta(w), o)
-	}},
-	{"randab", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.RandRulingAlphaBeta(g, alpha(w), beta(w), o)
-	}},
-	{"detab", func(g *graph.Graph, w Workload, o rulingset.Options) (rulingset.Result, error) {
-		return rulingset.DetRulingAlphaBeta(g, alpha(w), beta(w), o)
-	}},
-}
-
 func beta(w Workload) int {
 	if w.Beta > 0 {
 		return w.Beta
@@ -73,13 +40,6 @@ func alpha(w Workload) int {
 		return w.Alpha
 	}
 	return 3
-}
-
-// cliqueAlgos are the congested-clique entries (the clique simulator's
-// algorithm surface).
-var cliqueAlgos = map[string]func(*graph.Graph, rulingset.Options) (rulingset.CliqueResult, error){
-	"clique2":    rulingset.CliqueRandRuling2,
-	"cliquedet2": rulingset.CliqueDetRuling2,
 }
 
 // Run executes the configured workloads and returns the artifact. Rows come
@@ -183,7 +143,7 @@ func runWorkload(w Workload, cfg RunConfig) ([]Result, error) {
 // runAlgo executes one (graph, algorithm) pair on the simulator that hosts
 // it and flattens the measurements into a Result row.
 func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (Result, error) {
-	if run, ok := cliqueAlgos[name]; ok {
+	if run, ok := rulingset.CliqueDrivers[name]; ok {
 		start := time.Now() // host-dependent column; see Manifest.HostDependent
 		res, err := run(g, opts)
 		wall := time.Since(start)
@@ -219,52 +179,50 @@ func runAlgo(g *graph.Graph, w Workload, name string, opts rulingset.Options) (R
 		}
 		return row, nil
 	}
-	for _, a := range mpcAlgos {
-		if a.name != name {
-			continue
-		}
-		start := time.Now() // host-dependent column; see Manifest.HostDependent
-		res, err := a.run(g, w, opts)
-		wall := time.Since(start)
-		if err != nil {
-			return Result{}, err
-		}
-		row := Result{
-			Model:            "mpc",
-			Machines:         machines(w),
-			Members:          len(res.Members),
-			Beta:             res.Beta,
-			Rounds:           res.Stats.Rounds,
-			Phases:           len(res.Phases),
-			SeedSteps:        seedSteps(res.Phases),
-			Messages:         res.Stats.Messages,
-			Words:            res.Stats.Words,
-			PeakSent:         res.Stats.PeakSent,
-			PeakRecv:         res.Stats.PeakRecv,
-			PeakResident:     res.Stats.PeakResident,
-			SkewSent:         res.Stats.SkewSent,
-			SkewRecv:         res.Stats.SkewRecv,
-			GiniSent:         res.Stats.GiniSent,
-			GiniRecv:         res.Stats.GiniRecv,
-			Violations:       len(res.Stats.Violations),
-			RecoveredCrashes: res.Stats.RecoveredCrashes,
-			RecoveryRounds:   res.Stats.RecoveryRounds,
-			ReplayedWords:    res.Stats.ReplayedWords,
-			DroppedMessages:  res.Stats.DroppedMessages,
-			DupMessages:      res.Stats.DupMessages,
-			StallRounds:      res.Stats.StallRounds,
-
-			CheckpointBytes:    res.Stats.CheckpointBytes,
-			ResumeReplayRounds: res.Stats.ResumeReplayRounds,
-
-			WallMS: float64(wall.Microseconds()) / 1000,
-		}
-		if err := rulingset.Check(g, res); err != nil {
-			return Result{}, fmt.Errorf("output failed verification: %w", err)
-		}
-		return row, nil
+	drv, ok := rulingset.MPCDrivers[name]
+	if !ok {
+		return Result{}, fmt.Errorf("unknown algorithm %q", name)
 	}
-	return Result{}, fmt.Errorf("unknown algorithm %q", name)
+	start := time.Now() // host-dependent column; see Manifest.HostDependent
+	res, err := drv.Run(g, alpha(w), beta(w), opts)
+	wall := time.Since(start)
+	if err != nil {
+		return Result{}, err
+	}
+	row := Result{
+		Model:            "mpc",
+		Machines:         machines(w),
+		Members:          len(res.Members),
+		Beta:             res.Beta,
+		Rounds:           res.Stats.Rounds,
+		Phases:           len(res.Phases),
+		SeedSteps:        seedSteps(res.Phases),
+		Messages:         res.Stats.Messages,
+		Words:            res.Stats.Words,
+		PeakSent:         res.Stats.PeakSent,
+		PeakRecv:         res.Stats.PeakRecv,
+		PeakResident:     res.Stats.PeakResident,
+		SkewSent:         res.Stats.SkewSent,
+		SkewRecv:         res.Stats.SkewRecv,
+		GiniSent:         res.Stats.GiniSent,
+		GiniRecv:         res.Stats.GiniRecv,
+		Violations:       len(res.Stats.Violations),
+		RecoveredCrashes: res.Stats.RecoveredCrashes,
+		RecoveryRounds:   res.Stats.RecoveryRounds,
+		ReplayedWords:    res.Stats.ReplayedWords,
+		DroppedMessages:  res.Stats.DroppedMessages,
+		DupMessages:      res.Stats.DupMessages,
+		StallRounds:      res.Stats.StallRounds,
+
+		CheckpointBytes:    res.Stats.CheckpointBytes,
+		ResumeReplayRounds: res.Stats.ResumeReplayRounds,
+
+		WallMS: float64(wall.Microseconds()) / 1000,
+	}
+	if err := rulingset.Check(g, res); err != nil {
+		return Result{}, fmt.Errorf("output failed verification: %w", err)
+	}
+	return row, nil
 }
 
 func machines(w Workload) int {

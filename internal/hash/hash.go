@@ -424,9 +424,6 @@ func NewValues(n, ell int) (*Values, error) {
 	return &Values{Family: f}, nil
 }
 
-// Ell returns the number of value bits ℓ.
-func (va *Values) Ell() int { return va.nbits }
-
 // Value evaluates H(v) under a fully fixed seed.
 func (va *Values) Value(s *Seed, v int) uint64 {
 	var h uint64

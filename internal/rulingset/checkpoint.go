@@ -9,7 +9,7 @@ import (
 // superstep recovery (see mpc.Checkpointer): machine m's snapshot is the
 // concatenation of each set's PackRange over the machine's vertex range, and
 // Restore unpacks the same layout back. Registration is a no-op unless
-// checkpointing is needed — for crash recovery (a fault plan is present),
+// checkpointing is needed — for crash recovery (a fault plan is enabled),
 // durable persistence (a checkpoint sink is attached) or a resume — so
 // plain runs pay nothing.
 //
@@ -21,7 +21,7 @@ func registerCheckpoint(c *mpc.Cluster, o Options, sets ...*bitset.Set) error {
 	if o.CheckpointEvery <= 0 {
 		return nil
 	}
-	if o.Faults == nil && o.CheckpointSink == nil && o.Resume == nil {
+	if !o.Faults.Enabled() && o.CheckpointSink == nil && o.Resume == nil {
 		return nil
 	}
 	perRange := func(lo, hi int) int { return (hi - lo + 63) / 64 }

@@ -24,6 +24,28 @@ func faultTestPlan() *mpc.FaultPlan {
 	}
 }
 
+// TestDisabledFaultPlanChangesNothing: a fault plan that injects nothing
+// (as `-faults crash=0` parses) must not engage the checkpoint machinery —
+// the whole Stats, CheckpointWords included, equal the run without a plan.
+func TestDisabledFaultPlanChangesNothing(t *testing.T) {
+	g := gen.MustBuild("gnp:n=300,p=0.02", 17)
+	for _, a := range allAlgorithms() {
+		t.Run(a.name, func(t *testing.T) {
+			base, err := a.run(g, Options{Seed: 5, CheckpointEvery: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			off, err := a.run(g, Options{Seed: 5, CheckpointEvery: 4, Faults: &mpc.FaultPlan{Seed: 11}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(base.Members, off.Members) || !reflect.DeepEqual(base.Stats, off.Stats) {
+				t.Fatalf("disabled plan changed the run: CheckpointWords %d vs %d", base.Stats.CheckpointWords, off.Stats.CheckpointWords)
+			}
+		})
+	}
+}
+
 // TestFaultInvariance is the acceptance criterion of the fault layer: for
 // every algorithm, a run under a non-empty recoverable FaultPlan returns the
 // bit-identical ruling set of the fault-free run, with recovery recorded.

@@ -16,7 +16,9 @@
 // The contract is cross-backend bit-identity: the multi-process backend —
 // including runs where the supervisor kills and restarts a worker mid-job —
 // produces outputs, deterministic Stats columns and trace bytes identical to
-// the in-process backend's.
+// the in-process backend's. Both backends describe a job with one JobSpec,
+// and Execute is the one function that runs a spec in a process: the
+// in-process backend, every worker and the degraded fallback call it.
 package supervise
 
 import (
@@ -34,14 +36,16 @@ import (
 	"github.com/rulingset/mprs/internal/trace"
 )
 
-// JobSpec is the self-contained, JSON-serializable description of one run —
-// everything a worker process needs to deterministically reproduce the job.
-// Every field feeds the deterministic replay; observability knobs
-// (TraceFile) do not alter it.
+// JobSpec is the self-contained, JSON-serializable description of one
+// `mprs run` job — everything a process needs to deterministically reproduce
+// it, in-process (Execute) or across supervised workers (Run). Every field
+// feeds the deterministic replay; observability knobs (TraceFile) do not
+// alter it.
 type JobSpec struct {
-	// Algo names the algorithm: one of luby, detluby, rand2, det2 (the
-	// single-cluster MPC drivers — the same set that supports durable
-	// checkpointing, and for the same reason: one replayable superstep log).
+	// Algo names the algorithm: an MPC driver (see rulingset.MPCDrivers), a
+	// congested-clique driver (rulingset.CliqueDrivers) or greedy, the
+	// sequential baseline the CLI runs without a simulator. Only the
+	// single-cluster MPC drivers run on the multi-process backend.
 	Algo string `json:"algo"`
 	// GraphSpec generates the input (see internal/gen); GraphFile loads a
 	// graph file (text edge list or binary, see graph.ReadFile) instead.
@@ -59,6 +63,11 @@ type JobSpec struct {
 	ChunkBits   int     `json:"chunk_bits,omitempty"`
 	AlgoSeed    int64   `json:"algo_seed"`
 	Strict      bool    `json:"strict,omitempty"`
+	// Beta and Alpha parametrize randbeta/detbeta (Beta) and randab/detab
+	// (both). They are not part of Fingerprint: the drivers that read them
+	// chain several clusters and never checkpoint durably.
+	Beta  int `json:"beta,omitempty"`
+	Alpha int `json:"alpha,omitempty"`
 
 	// Faults and FaultSeed are the job's fault plan (internal/chaos
 	// grammar). Its sim layer reproduces the simulated fault schedule on
@@ -89,17 +98,8 @@ type JobSpec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// SupportedAlgo reports whether algo can run on the multi-process backend.
-func SupportedAlgo(algo string) bool {
-	switch algo {
-	case "luby", "detluby", "rand2", "det2":
-		return true
-	}
-	return false
-}
-
-// SpecLabel renders the input source exactly as the CLI's trace headers and
-// table titles do.
+// SpecLabel renders the input source for trace headers, fingerprints and
+// table titles.
 func (s JobSpec) SpecLabel() string {
 	if s.GraphSpec != "" {
 		return s.GraphSpec
@@ -107,10 +107,12 @@ func (s JobSpec) SpecLabel() string {
 	return "file:" + s.GraphFile
 }
 
-// Validate rejects specs no worker could run.
+// Validate rejects specs no backend could run.
 func (s JobSpec) Validate() error {
-	if !SupportedAlgo(s.Algo) {
-		return fmt.Errorf("supervise: algorithm %q not supported on the multi-process backend (single-cluster MPC algorithms only: luby, detluby, rand2, det2)", s.Algo)
+	_, mpcAlgo := rulingset.MPCDrivers[s.Algo]
+	_, cliqueAlgo := rulingset.CliqueDrivers[s.Algo]
+	if !mpcAlgo && !cliqueAlgo && s.Algo != "greedy" {
+		return fmt.Errorf("supervise: unknown algorithm %q", s.Algo)
 	}
 	if (s.GraphSpec == "") == (s.GraphFile == "") {
 		return fmt.Errorf("supervise: exactly one of GraphSpec and GraphFile must be set")
@@ -121,8 +123,18 @@ func (s JobSpec) Validate() error {
 	if s.CheckpointDir != "" && s.CheckpointEvery <= 0 {
 		return fmt.Errorf("supervise: CheckpointDir requires CheckpointEvery > 0")
 	}
+	if s.CheckpointDir != "" && !rulingset.MPCDrivers[s.Algo].SingleCluster {
+		return fmt.Errorf("supervise: algorithm %q does not support durable checkpointing (single-cluster only: luby, detluby, rand2, det2)", s.Algo)
+	}
 	if s.Parallelism < 0 {
 		return fmt.Errorf("supervise: parallelism %d < 0", s.Parallelism)
+	}
+	plan, err := chaos.Parse(s.Faults, s.FaultSeed)
+	if err != nil {
+		return err
+	}
+	if len(plan.Disk) > 0 && s.CheckpointDir == "" {
+		return fmt.Errorf("supervise: disk: fault events need -checkpoint-dir (they attack the durable checkpoint store)")
 	}
 	return nil
 }
@@ -141,24 +153,31 @@ func (s JobSpec) BuildGraph() (*graph.Graph, error) {
 
 // Fingerprint renders the canonical configuration string stamped into the
 // workers' durable checkpoints, so a restarted worker refuses to resume a
-// different configuration's state. It records only the sim layer of Faults:
-// substrate faults attack the machinery, not the computation, so
-// checkpoints written under them stay resumable by clean runs (the degraded
-// fallback depends on exactly that).
-func (s JobSpec) Fingerprint() string {
-	return fmt.Sprintf("mprs-multiproc/1 algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s fault-seed=%d checkpoint-every=%d",
-		s.Algo, s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords,
+// different configuration's state.
+func (s JobSpec) Fingerprint() string { return s.fingerprint(supervisedSchema) }
+
+// Fingerprint schemas: a standalone in-process job's store, and the stores
+// of a supervised job's workers.
+const (
+	standaloneSchema = "mprs-run/1"
+	supervisedSchema = "mprs-multiproc/1"
+)
+
+// fingerprint renders the spec under schema. Every knob that feeds the
+// deterministic replay is included; observability knobs are not, and of
+// the fault plan only its sim layer is: substrate faults attack the
+// machinery, not the computation, so checkpoints written under them stay
+// resumable by clean runs (the degraded fallback depends on exactly that).
+func (s JobSpec) fingerprint(schema string) string {
+	return fmt.Sprintf("%s algo=%s spec=%s gen-seed=%d machines=%d regime=%d epsilon=%g memory=%d slack=%d chunk=%d algo-seed=%d strict=%t faults=%s fault-seed=%d checkpoint-every=%d",
+		schema, s.Algo, s.SpecLabel(), s.GenSeed, s.Machines, s.Regime, s.Epsilon, s.MemoryWords,
 		s.LinearSlack, s.ChunkBits, s.AlgoSeed, s.Strict, chaos.SimSpec(s.Faults), s.FaultSeed, s.CheckpointEvery)
 }
 
-// options builds the rulingset.Options the spec describes, with the sim
-// layer of Faults (transport, trace and durable wiring are added by the
-// caller).
-func (s JobSpec) options() (rulingset.Options, error) {
-	plan, err := chaos.Parse(s.Faults, s.FaultSeed)
-	if err != nil {
-		return rulingset.Options{}, err
-	}
+// options builds the rulingset.Options the spec describes, with sim as the
+// fault layer (context, transport, trace and durable wiring are added by
+// the caller).
+func (s JobSpec) options(sim *mpc.FaultPlan) rulingset.Options {
 	return rulingset.Options{
 		Machines:        s.Machines,
 		Regime:          mpc.Regime(s.Regime),
@@ -168,30 +187,15 @@ func (s JobSpec) options() (rulingset.Options, error) {
 		ChunkBits:       s.ChunkBits,
 		Seed:            s.AlgoSeed,
 		Strict:          s.Strict,
-		Faults:          plan.Sim,
+		Faults:          sim,
 		CheckpointEvery: s.CheckpointEvery,
 		Parallelism:     s.Parallelism,
-	}, nil
-}
-
-// runAlgo dispatches to the single-cluster MPC drivers.
-func runAlgo(algo string, g *graph.Graph, o rulingset.Options) (rulingset.Result, error) {
-	switch algo {
-	case "luby":
-		return rulingset.LubyMIS(g, o)
-	case "detluby":
-		return rulingset.DetLubyMIS(g, o)
-	case "rand2":
-		return rulingset.RandRuling2(g, o)
-	case "det2":
-		return rulingset.DetRuling2(g, o)
 	}
-	return rulingset.Result{}, fmt.Errorf("supervise: unknown algorithm %q", algo)
 }
 
-// buildStamp renders the binary's build info exactly as the CLI does for its
-// trace headers; a pure function of the binary, so replicated workers of the
-// same build stamp identical bytes.
+// buildStamp renders the binary's build info for trace headers and
+// checkpoint files; a pure function of the binary, so runs of the same
+// build — replicated workers included — stamp identical bytes.
 func buildStamp() json.RawMessage {
 	data, err := json.Marshal(buildinfo.Get())
 	if err != nil {
@@ -200,24 +204,28 @@ func buildStamp() json.RawMessage {
 	return data
 }
 
-// traceHeader is the job's trace header — field-for-field what the CLI's
-// in-process path writes, which is what makes the trace files byte-
-// comparable across backends.
-func (s JobSpec) traceHeader() trace.Header {
+// traceHeader is the job's trace header, the one every backend writes for
+// input g. The congested clique simulates one machine per vertex.
+func (s JobSpec) traceHeader(g *graph.Graph, resumedFrom int) trace.Header {
+	machines := s.Machines
+	if _, ok := rulingset.CliqueDrivers[s.Algo]; ok {
+		machines = g.N()
+	}
 	return trace.Header{
-		Algo:     s.Algo,
-		Spec:     s.SpecLabel(),
-		Seed:     s.AlgoSeed,
-		Machines: s.Machines,
-		Build:    buildStamp(),
+		Algo:        s.Algo,
+		Spec:        s.SpecLabel(),
+		Seed:        s.AlgoSeed,
+		Machines:    machines,
+		Build:       buildStamp(),
+		ResumedFrom: resumedFrom,
 	}
 }
 
 // openStore opens the durable checkpoint store rooted at dir (creating it),
-// stamped with the spec's fingerprint, through fsys (nil means the real
-// filesystem) — the seam disk fault events enter through.
-func (s JobSpec) openStore(dir string, fsys durable.FS) (*durable.Store, error) {
-	st, err := durable.OpenFS(dir, s.Fingerprint(), s.CheckpointRetain, fsys)
+// stamped with fingerprint, through fsys (nil means the real filesystem) —
+// the seam disk fault events enter through.
+func (s JobSpec) openStore(dir, fingerprint string, fsys durable.FS) (*durable.Store, error) {
+	st, err := durable.OpenFS(dir, fingerprint, s.CheckpointRetain, fsys)
 	if err != nil {
 		return nil, err
 	}

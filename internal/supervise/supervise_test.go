@@ -67,16 +67,55 @@ func TestJobSpecValidate(t *testing.T) {
 		name string
 		spec JobSpec
 	}{
-		{"unsupported algo", JobSpec{Algo: "detbeta", GraphSpec: "g", Machines: 4}},
+		{"unknown algo", JobSpec{Algo: "nope", GraphSpec: "g", Machines: 4}},
 		{"no graph", JobSpec{Algo: "det2", Machines: 4}},
 		{"both graphs", JobSpec{Algo: "det2", GraphSpec: "g", GraphFile: "f", Machines: 4}},
 		{"no machines", JobSpec{Algo: "det2", GraphSpec: "g"}},
 		{"dir without k", JobSpec{Algo: "det2", GraphSpec: "g", Machines: 4, CheckpointDir: "d"}},
+		{"durable multi-cluster", JobSpec{Algo: "detbeta", GraphSpec: "g", Machines: 4, CheckpointEvery: 4, CheckpointDir: "d"}},
+		{"disk without dir", JobSpec{Algo: "det2", GraphSpec: "g", Machines: 4, Faults: "disk:torn@4:0"}},
 	} {
 		if err := tc.spec.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+}
+
+// TestFingerprintSchemas pins the fingerprint bytes durable checkpoints
+// carry: a standalone run's store and a supervised worker's differ only in
+// the schema, and only the sim layer of the fault plan is recorded.
+func TestFingerprintSchemas(t *testing.T) {
+	spec := JobSpec{Algo: "det2", GraphSpec: "gnp:n=64,p=0.1", GenSeed: 3, Machines: 4, Regime: 1,
+		Epsilon: 0.5, ChunkBits: 4, AlgoSeed: 1, Beta: 3, Alpha: 3,
+		Faults: "crash=0.02,proc:kill@3:1", FaultSeed: 7, CheckpointEvery: 4, Parallelism: 2}
+	const body = " algo=det2 spec=gnp:n=64,p=0.1 gen-seed=3 machines=4 regime=1 epsilon=0.5 memory=0 slack=0 chunk=4 algo-seed=1 strict=false faults=crash=0.02 fault-seed=7 checkpoint-every=4"
+	if got := spec.Fingerprint(); got != "mprs-multiproc/1"+body {
+		t.Errorf("Fingerprint() = %q", got)
+	}
+	if got := spec.fingerprint(standaloneSchema); got != "mprs-run/1"+body {
+		t.Errorf("standalone fingerprint = %q", got)
+	}
+}
+
+// TestExecuteMultiCluster: the in-process path runs the multi-cluster
+// drivers too, passing Alpha and Beta through, with the result a direct
+// driver call returns.
+func TestExecuteMultiCluster(t *testing.T) {
+	spec := testSpec(t, "detab")
+	spec.Alpha, spec.Beta = 3, 2
+	got, err := InProc{}.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := spec.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rulingset.DetRulingAlphaBeta(g, 3, 2, rulingset.Options{Machines: 8, ChunkBits: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, want, got)
 }
 
 // TestMultiProcEquivalence is the backend bit-identity contract: for each
@@ -100,7 +139,7 @@ func TestMultiProcEquivalence(t *testing.T) {
 			mpSpec := testSpec(t, algo)
 			mpSpec.Parallelism = 4
 			mpSpec.TraceFile = filepath.Join(dir, "mp.trace")
-			mpRes, err := MultiProc{Config: testConfig(3)}.Run(mpSpec)
+			mpRes, err := Run(mpSpec, testConfig(3))
 			if err != nil {
 				t.Fatalf("multiproc: %v", err)
 			}
@@ -236,6 +275,14 @@ func TestMultiProcConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(testSpec(t, "det2"), Config{Workers: 2}); err == nil {
 		t.Error("missing Spawn accepted")
+	}
+	if _, err := Run(testSpec(t, "detbeta"), testConfig(2)); err == nil || !strings.Contains(err.Error(), "not supported on the multi-process backend") {
+		t.Errorf("multi-cluster algorithm: err = %v", err)
+	}
+	// A disk: event needs a store to attack on every backend; without a
+	// checkpoint dir it would never fire.
+	if _, err := Run(withFaults(testSpec(t, "det2"), "disk:torn@4:0"), testConfig(2)); err == nil || !strings.Contains(err.Error(), "need -checkpoint-dir") {
+		t.Errorf("disk: event without a checkpoint dir: err = %v", err)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"github.com/rulingset/mprs/internal/chaos"
+	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/telemetry"
-	"github.com/rulingset/mprs/internal/trace"
 	"github.com/rulingset/mprs/internal/transport"
 )
 
@@ -315,6 +315,9 @@ func Run(spec JobSpec, cfg Config) (rulingset.Result, error) {
 	cfg = cfg.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return rulingset.Result{}, err
+	}
+	if !rulingset.MPCDrivers[spec.Algo].SingleCluster {
+		return rulingset.Result{}, fmt.Errorf("supervise: algorithm %q not supported on the multi-process backend (single-cluster MPC algorithms only: luby, detluby, rand2, det2)", spec.Algo)
 	}
 	if cfg.Workers < 1 {
 		return rulingset.Result{}, fmt.Errorf("supervise: workers %d < 1", cfg.Workers)
@@ -921,20 +924,11 @@ func (s *supervisor) drainStreams() {
 // run would persist. Deliberately a free function over Run's own parameters
 // rather than a supervisor method: the fallback is a deterministic run, and
 // its inputs must not flow through the wall-clock-carrying supervisor state.
-func fallbackRun(spec JobSpec, workers int) (res rulingset.Result, resumedFrom int, retErr error) {
-	resumedFrom = -1
-	g, err := spec.BuildGraph()
-	if err != nil {
-		return rulingset.Result{}, resumedFrom, err
-	}
-	opts, err := spec.options()
-	if err != nil {
-		return rulingset.Result{}, resumedFrom, err
-	}
+func fallbackRun(spec JobSpec, workers int) (rulingset.Result, int, error) {
+	var best *mpc.ResumeState
 	if spec.CheckpointDir != "" {
-		var best *mpc.ResumeState
 		for w := 0; w < workers; w++ {
-			store, err := spec.openStore(spec.workerCheckpointDir(w), nil)
+			store, err := spec.openStore(spec.workerCheckpointDir(w), spec.Fingerprint(), nil)
 			if err != nil {
 				continue // this worker's directory is unusable; others may not be
 			}
@@ -946,32 +940,19 @@ func fallbackRun(spec JobSpec, workers int) (res rulingset.Result, resumedFrom i
 				best = &mpc.ResumeState{Round: meta.Round, State: state}
 			}
 		}
-		// A round-0 baseline is equivalent to starting from scratch.
-		if best != nil && best.Round > 0 {
-			opts.Resume = best
-			resumedFrom = best.Round
-		}
 	}
-	if spec.TraceFile != "" {
-		f, err := os.Create(spec.TraceFile)
-		if err != nil {
-			return rulingset.Result{}, resumedFrom, err
-		}
-		tr := trace.NewJSONL(f)
-		if err := tr.WriteHeader(spec.traceHeader()); err != nil {
-			if cerr := f.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return rulingset.Result{}, resumedFrom, fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-		}
-		opts.Tracer = tr
-		defer func() {
-			if err := tr.Close(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-			}
-		}()
+	// A round-0 baseline is equivalent to starting from scratch.
+	resumedFrom := -1
+	if best != nil && best.Round > 0 {
+		resumedFrom = best.Round
+	} else {
+		best = nil
 	}
-	res, err = runAlgo(spec.Algo, g, opts)
+	// The fallback persists nothing and has no substrate left to attack: it
+	// runs the plan's sim layer alone.
+	spec.CheckpointDir = ""
+	spec.Faults = chaos.SimSpec(spec.Faults)
+	res, err := Execute(spec, Local{Supervised: true, Resume: func(*durable.Store) (*mpc.ResumeState, error) { return best, nil }})
 	return res, resumedFrom, err
 }
 

@@ -5,15 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
-	"github.com/rulingset/mprs/internal/chaos"
 	"github.com/rulingset/mprs/internal/durable"
 	"github.com/rulingset/mprs/internal/mpc"
 	"github.com/rulingset/mprs/internal/rulingset"
 	"github.com/rulingset/mprs/internal/telemetry"
-	"github.com/rulingset/mprs/internal/trace"
 	"github.com/rulingset/mprs/internal/transport"
 )
 
@@ -103,16 +100,9 @@ func WorkerMain(env WorkerEnv, in io.Reader, out io.Writer) error {
 	return conn.Write(transport.Frame{Type: transport.FrameResult, Worker: env.Worker, Round: res.Stats.Rounds, Payload: payload})
 }
 
-func runWorker(env WorkerEnv, conn *transport.Conn) (res rulingset.Result, retErr error) {
+func runWorker(env WorkerEnv, conn *transport.Conn) (rulingset.Result, error) {
 	spec := env.Spec
-	if err := spec.Validate(); err != nil {
-		return rulingset.Result{}, err
-	}
 	g, err := spec.BuildGraph()
-	if err != nil {
-		return rulingset.Result{}, err
-	}
-	opts, err := spec.options()
 	if err != nil {
 		return rulingset.Result{}, err
 	}
@@ -120,7 +110,6 @@ func runWorker(env WorkerEnv, conn *transport.Conn) (res rulingset.Result, retEr
 	if err != nil {
 		return rulingset.Result{}, err
 	}
-	opts.Transport = wt
 
 	if err := conn.Write(transport.Frame{Type: transport.FrameHello, Worker: env.Worker, Round: env.JoinAfter}); err != nil {
 		return rulingset.Result{}, err
@@ -167,69 +156,21 @@ func runWorker(env WorkerEnv, conn *transport.Conn) (res rulingset.Result, retEr
 		}
 	}()
 
-	// The plan's disk events (if any) execute inside this process,
-	// interposing on this worker's checkpoint store at the durable.FS seam.
-	plan, err := chaos.Parse(spec.Faults, spec.FaultSeed)
-	if err != nil {
-		return rulingset.Result{}, err
-	}
-
+	// Each worker persists under its own checkpoint subdirectory, where the
+	// plan's disk events for it attack its store. Worker 0 alone writes the
+	// trace; its replicas would write identical bytes. On restart the trace
+	// file is truncated and the deterministic replay re-emits every
+	// committed round, so the finished file is byte-identical to an
+	// uninterrupted run's.
 	if spec.CheckpointDir != "" {
-		store, err := spec.openStore(spec.workerCheckpointDir(env.Worker), chaos.NewDiskFS(plan, env.Worker, env.Attempt))
-		if err != nil {
-			return rulingset.Result{}, err
-		}
-		opts.CheckpointSink = store
-		if col != nil {
-			// Meter persisted checkpoint bytes without touching them: the
-			// wrapper delegates to the real store byte-for-byte.
-			opts.CheckpointSink = col.WrapCheckpointSink(store)
-		}
-		if env.Resume {
-			meta, state, err := store.LoadLatest()
-			switch {
-			case err == nil:
-				opts.Resume = &mpc.ResumeState{Round: meta.Round, State: state}
-			case errors.Is(err, durable.ErrNoCheckpoint):
-				// Nothing persisted before the crash: recompute from round
-				// 1 — slower, still deterministic, still bit-identical.
-			default:
-				return rulingset.Result{}, err
-			}
-		}
+		spec.CheckpointDir = spec.workerCheckpointDir(env.Worker)
 	}
-
-	// Worker 0 writes the job's trace; its replicas would write identical
-	// bytes. On restart os.Create truncates and the deterministic replay
-	// re-emits every committed round, so the finished file is byte-identical
-	// to an uninterrupted run's. The telemetry collector joins the same
-	// fan-out on every worker.
-	var sinks trace.Multi
-	if spec.TraceFile != "" && env.Worker == 0 {
-		f, err := os.Create(spec.TraceFile)
-		if err != nil {
-			return rulingset.Result{}, err
-		}
-		tr := trace.NewJSONL(f)
-		if err := tr.WriteHeader(spec.traceHeader()); err != nil {
-			if cerr := f.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return rulingset.Result{}, fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-		}
-		sinks = append(sinks, tr)
-		defer func() {
-			if err := tr.Close(); err != nil && retErr == nil {
-				retErr = fmt.Errorf("trace %s: %w", spec.TraceFile, err)
-			}
-		}()
+	if env.Worker != 0 {
+		spec.TraceFile = ""
 	}
-	if col != nil {
-		sinks = append(sinks, col)
+	l := Local{Graph: g, Transport: wt, Supervised: true, Worker: env.Worker, Attempt: env.Attempt, Telemetry: col}
+	if env.Resume {
+		l.Resume = resumeLatest
 	}
-	if len(sinks) > 0 {
-		opts.Tracer = sinks
-	}
-
-	return runAlgo(spec.Algo, g, opts)
+	return Execute(spec, l)
 }

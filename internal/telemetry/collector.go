@@ -60,8 +60,7 @@ type Collector struct {
 	mu        sync.Mutex
 	span      string
 	spanStart time.Time
-	ring      []trace.Event
-	ringStart int
+	ring      *trace.Ring
 }
 
 // NewCollector creates a collector with its own registry.
@@ -93,7 +92,7 @@ func NewCollector(opts CollectorOptions) *Collector {
 		dup:       reg.Counter("mprs_duplicated_messages_total", "Messages duplicated by the fault layer."),
 		stalls:    reg.Counter("mprs_stall_rounds_total", "Rounds stretched by simulated stragglers."),
 		ckptBytes: reg.Counter("mprs_checkpoint_bytes_total", "Bytes persisted to durable checkpoints by this process."),
-		ring:      make([]trace.Event, 0, opts.FlightCap),
+		ring:      trace.NewRing(opts.FlightCap),
 	}
 	return c
 }
@@ -122,12 +121,7 @@ func (c *Collector) Superstep(ev trace.Event) {
 	c.stalls.Add(float64(ev.Stalls))
 
 	c.mu.Lock()
-	if len(c.ring) < cap(c.ring) {
-		c.ring = append(c.ring, ev)
-	} else {
-		c.ring[c.ringStart] = ev
-		c.ringStart = (c.ringStart + 1) % cap(c.ring)
-	}
+	c.ring.Superstep(ev)
 	c.mu.Unlock()
 }
 
@@ -154,10 +148,7 @@ func (c *Collector) Gather() []Point { return c.reg.Gather() }
 func (c *Collector) Recent() []trace.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]trace.Event, 0, len(c.ring))
-	out = append(out, c.ring[c.ringStart:]...)
-	out = append(out, c.ring[:c.ringStart]...)
-	return out
+	return c.ring.Events()
 }
 
 // WirePayload is the telemetry body a worker attaches to its heartbeat
